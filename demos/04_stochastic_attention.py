@@ -1,14 +1,16 @@
 """One stochastic attention head under the microscope: the location scores,
 per-key scales, two-hop shape, the sampled logits, and how evaluation modes
 differ. Also shows causality and the degenerate limit where the block is
-plain scaled-dot attention.
+plain scaled-dot attention. Everything is read from `model.collect_trace`
+on a one-sequence batch.
 
 Run: python3 demos/04_stochastic_attention.py
 """
 
 import numpy as np
+from scipy import sparse
 
-from skewrec import attention, corpus, model
+from skewrec import corpus, model
 from skewrec.config import TrainConfig
 
 rng = np.random.default_rng(3)
@@ -22,47 +24,44 @@ cooc = corpus.build_cooc(split)
 cfg = TrainConfig(dim=8, blocks=1, heads=1, dropout=0.0, max_len=5,
                   batch_size=1, dtype="float64", k_neg_eval=1)
 params = model.init_params(cfg, 5, 4, rng)
-hp = params.blocks[0].heads[0]
-opts = model._attn_opts(cfg)
 
-items = [1, 2, 3, 4, 5]
-x = params.item_emb[np.array(items)] + params.pos_emb
+items = np.array([[1, 2, 3, 4, 5]])
+batch = corpus.Batch(item_ids=items, targets=np.zeros_like(items),
+                     negatives=np.zeros((1, 5, 1), dtype=np.int64),
+                     user_ids=np.array([0]), pad_mask=items != 0)
+feats = model.Featurizer(cooc, cfg.max_len).batch_features(batch, None)
 
-h, trace = attention.single_head_attention(
-    x, cooc.counting_base(items), None, None, params.user_emb[0], hp, opts,
-    mode="train_stochastic", rng=np.random.default_rng(7),
-    cooc_window=cooc.window(items))
+_, trace = model.collect_trace(params, cfg, batch, feats, mode="stochastic",
+                               rng=np.random.default_rng(7))
+t = trace[0][0]  # block 0, head 0
 
 print("location scores xi (deterministic alignment), final row:")
-print(np.round(trace.xi[-1], 3))
+print(np.round(t["xi"][-1], 3))
 print("per-key scales omega for the final row (softplus, > 0):")
-print(np.round(trace.omega, 3))
+print(np.round(t["omega"], 3))
 print("shape alpha for the final row (two-hop co-occurrence, >= 0):")
-print(np.round(trace.alpha, 3))
+print(np.round(t["alpha"], 3))
 print("correlation psi shared by every row:")
-print(np.round(trace.psi, 3))
-print("kernel mixture weights:", np.round(trace.mixture_r, 3))
+print(np.round(t["psi"], 3))
+print("kernel mixture weights:", np.round(t["mixture_r"], 3))
 print("\nsampled logits (upper triangle masked):")
-print(np.round(trace.logits, 3))
+print(np.round(np.where(np.tril(np.ones((5, 5), dtype=bool)), t["logits"], np.nan), 3))
 print("attention weights (rows sum to 1 over visible keys):")
-print(np.round(trace.attn, 3))
-print("row sums:", np.round(trace.attn.sum(axis=1), 6))
+print(np.round(t["attn"], 3))
+print("row sums:", np.round(t["attn"].sum(axis=1), 6))
 
 # Evaluation modes: location drops the noise, mean_shift adds the skew mean.
-for mode in ("eval_location", "eval_mean_shift"):
-    _, t = attention.single_head_attention(
-        x, cooc.counting_base(items), None, None, params.user_emb[0], hp, opts,
-        mode=mode, cooc_window=cooc.window(items))
-    print(f"\n{mode}: final attention row {np.round(t.attn[-1], 3)}")
+for mode in ("location", "mean_shift"):
+    _, tr = model.collect_trace(params, cfg, batch, feats, mode=mode)
+    print(f"\n{mode}: final attention row {np.round(tr[0][0]['attn'][-1], 3)}")
 
 # Degenerate limit: no co-occurrence (alpha=0) and omega capped near zero
 # turns the stochastic draw into the plain deterministic attention.
-from dataclasses import replace
-opts_cap = replace(opts, omega_cap=1e-9)
-zero = np.zeros((5, 5))
-h_sto, _ = attention.single_head_attention(x, zero, None, None, params.user_emb[0], hp,
-                                  opts_cap, mode="train_stochastic",
-                                  rng=np.random.default_rng(0), cooc_window=zero)
-h_loc, _ = attention.single_head_attention(x, zero, None, None, params.user_emb[0], hp,
-                                  opts, mode="eval_location", cooc_window=zero)
-print(f"\ndegenerate limit |stochastic - location|: {np.abs(h_sto - h_loc).max():.2e}")
+zero = corpus.CoocStats(np.zeros(6, dtype=np.int64),
+                        sparse.csr_matrix((6, 6), dtype=np.int64))
+feats0 = model.Featurizer(zero, cfg.max_len).batch_features(batch, None)
+cfg_cap = TrainConfig(**{**cfg.to_dict(), "omega_cap": 1e-9})
+f_sto, _ = model.forward(params, cfg_cap, batch, feats0, "stochastic",
+                         rng=np.random.default_rng(0))
+f_loc, _ = model.forward(params, cfg, batch, feats0, "location")
+print(f"\ndegenerate limit |stochastic - location|: {np.abs(f_sto - f_loc).max():.2e}")

@@ -68,24 +68,6 @@ class AttnOpts:
     omega_cap: float | None = None
 
 
-@dataclass
-class AttentionTrace:
-    """Per-head diagnostics for one sequence's valid window."""
-    xi: np.ndarray
-    logits: np.ndarray
-    attn: np.ndarray
-    omega: np.ndarray      # final-row scales
-    psi: np.ndarray
-    alpha: np.ndarray      # final-row shape
-    mixture_r: np.ndarray
-
-
-def location_xi(x, w_q, w_k):
-    """Scaled bilinear alignment scores, the location of every row's logits."""
-    scores, _ = bilinear_scores(x, w_q, w_k)
-    return scores
-
-
 def alpha_hat(c_window):
     """Two-hop co-occurrence alignment of every position with the last one.
 
@@ -102,33 +84,6 @@ def alpha_hat(c_window):
     row_means = (c.sum(axis=-1) - diag) / (n - 1)
     mod[..., idx, idx] = row_means
     return mod @ mod[..., :, -1]
-
-
-def shape_alpha(x, c_window, w_q, w_k, q=None):
-    """Shape vector for query row q: softplus bilinear scale times the
-    max-normalized two-hop alignment; all-zero co-occurrence falls back to 0."""
-    n = x.shape[0]
-    q = n - 1 if q is None else q
-    win = slice(0, q + 1)
-    scores, _ = bilinear_scores(x[win], w_q, w_k)
-    s_row = softplus(scores[q])
-    if q == 0:
-        return np.zeros(1, dtype=np.float64)
-    ah = alpha_hat(np.asarray(c_window)[win, win])
-    top = ah.max()
-    if top <= 0:
-        return np.zeros(q + 1, dtype=np.float64)
-    return s_row * ah / top
-
-
-def relevance_scores(f_row, item_table, candidates=None):
-    """Dot-product relevance of a sequence representation against item rows.
-
-    Scores the candidate subset when given, otherwise every real item
-    (padding row 0 excluded)."""
-    if candidates is not None:
-        return item_table[np.asarray(candidates)] @ f_row
-    return item_table[1:] @ f_row
 
 
 def _head_forward(hp: HeadParams, x, u, cnt_base, ahat, amax, valid, attn_mask,
@@ -295,44 +250,6 @@ def _head_backward(hp: HeadParams, cache, d_head_out, grads: HeadParams,
     grads.wk_loc += d_wk_loc
     d_x += dx_loc
     return d_x, d_u
-
-
-def single_head_attention(x, cnt_base, ahat_rows, amax_rows, u_s, hp: HeadParams,
-                          opts: AttnOpts, mode="location", rng=None, eps=None,
-                          y0=None, cooc_window=None):
-    """Single-sequence, single-head forward returning (H, AttentionTrace).
-
-    x: [n, d] inputs for the valid window (no padding); cnt_base the window's
-    counting-kernel base; ahat_rows/amax_rows per-row two-hop data (computed
-    by the featurizer, or pass cooc_window to derive them here).
-    """
-    n = x.shape[0]
-    if cooc_window is not None:
-        ahat_rows = np.zeros((n, n))
-        for q in range(1, n):
-            ahat_rows[q, :q + 1] = alpha_hat(cooc_window[:q + 1, :q + 1])
-        amax_rows = ahat_rows.max(axis=1)
-    xb = x[None].astype(opts.dtype)
-    valid = np.ones((1, n), dtype=bool)
-    attn_mask = np.tril(np.ones((n, n), dtype=bool))[None]
-    stoch = valid
-    sample_mode = "stochastic" if mode in ("train_stochastic", "eval_stochastic") else \
-        ("mean_shift" if mode == "eval_mean_shift" else "location")
-    head_out, cache = _head_forward(
-        hp, xb, u_s[None].astype(opts.dtype), cnt_base[None], ahat_rows[None],
-        amax_rows[None], valid, attn_mask, stoch, sample_mode, opts,
-        eps=None if eps is None else eps[None],
-        y0=None if y0 is None else y0[None], rng=rng, want_psi=True)
-    trace = AttentionTrace(
-        xi=location_xi(x, hp.wq_loc, hp.wk_loc),
-        logits=np.where(attn_mask[0], cache["z"][0], np.nan),
-        attn=cache["probs"][0],
-        omega=cache["omega"][0, -1] if "omega" in cache else np.ones(n),
-        psi=cache["psi"][0],
-        alpha=cache["alpha"][0, -1] if "alpha" in cache else np.zeros(n),
-        mixture_r=cache["r"][0],
-    )
-    return head_out[0], trace
 
 
 def init_block(dim, heads, rng, dtype=np.float32) -> BlockParams:

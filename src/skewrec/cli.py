@@ -163,9 +163,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_checkpoint_and_data(args):
     ckpt = training.load_checkpoint(args.checkpoint)
     split, cooc = _load_prepared(args.data_dir)
+    training.check_compatible(ckpt, split)
+    return ckpt, split, cooc
+
+
+def cmd_eval(args) -> int:
+    ckpt, split, cooc = _load_checkpoint_and_data(args)
     cfg = ckpt.config
     if args.eval_mode:
         cfg.eval_mode = args.eval_mode
@@ -232,8 +238,7 @@ def _write_matrix_csv(path, matrix, header=None):
 
 
 def cmd_inspect(args) -> int:
-    ckpt = training.load_checkpoint(args.checkpoint)
-    split, cooc = _load_prepared(args.data_dir)
+    ckpt, split, cooc = _load_checkpoint_and_data(args)
     cfg = ckpt.config
     out_dir = _out_path(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -273,7 +278,7 @@ def cmd_inspect(args) -> int:
     _, trace = model.collect_trace(ckpt.params, cfg, batch, feats, mode="location")
 
     # co-occurrence indicator between the query (last) item and each position
-    cooc_row = feats.cooc_win[0, L - 1, L - m:L - 1]
+    cooc_row = feats.cooc_win[0, L - m:L - 1]
     indicator = (cooc_row > cooc_row.mean()).astype(int) if m > 1 else np.array([])
     for bi, heads in enumerate(trace):
         for h, t in enumerate(heads):

@@ -7,7 +7,6 @@ than silently ignored). Command-line flags override file values.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -79,10 +78,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass

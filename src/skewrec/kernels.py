@@ -1,82 +1,21 @@
-"""Relation kernels, their learned mixture, per-row scale inference, and the
-normalized correlation matrix used by the stochastic attention logits.
+"""Relation kernels, their learned mixture, and the normalized correlation
+matrix used by the stochastic attention logits, batched over windows.
 
 Three kernels measure item relatedness: a counting kernel driven by global
-pair co-occurrence, an item kernel on the (L2-normalized) timestep
-representations, and a user kernel on the same representations modulated
-elementwise by a transformed user embedding. Each carries an omega_i*omega_j
-scale factor; the correlation matrix divides it back out, so the normalized
-Gram helpers below already work on the cancelled form.
+pair co-occurrence (`CoocStats.counting_base`), an item kernel on the
+(L2-normalized) timestep representations, and a user kernel on the same
+representations modulated elementwise by a transformed user embedding. Each
+carries an omega_i*omega_j scale factor; the correlation matrix divides it
+back out, so the Gram helpers below already work on the cancelled form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import CoocStats
 from .errors import NumericalError
-from .nnops import l2_normalize, softplus
 
 KERNEL_ORDER = ("C", "I", "U")
-
-
-@dataclass
-class KernelWeights:
-    """Learned kernel parameters for one attention head."""
-    w_omega_q: np.ndarray  # [d, w] scale head, query side
-    w_omega_k: np.ndarray  # [d, w] scale head, key side
-    w_user_mod: np.ndarray  # [d, d] user-kernel modulation
-    w_mix: np.ndarray      # [d, 3] mixture head
-    b_mix: np.ndarray      # [3]
-
-
-@dataclass
-class CorrelationOutput:
-    omega: np.ndarray      # [n] positive row scales
-    psi: np.ndarray        # [n, n] final correlation, unit diagonal, Cholesky-safe
-    gram: np.ndarray       # [n, n] mixed kernel matrix including omega factors
-    mixture_r: np.ndarray  # weights over the active kernels, summing to 1
-
-
-def variance_omega(x, q, w_omega_q, w_omega_k):
-    """Per-key scale for query row q: softplus of the scaled bilinear score.
-
-    The score divides by the square root of the projected width, so with
-    full-width [d, d] weights this is the 1/sqrt(d) scaling and with per-head
-    [d, d/H] weights the per-head variant.
-    """
-    width = w_omega_q.shape[1]
-    logits = (x[q] @ w_omega_q) @ (x @ w_omega_k).T / np.sqrt(width)
-    return softplus(logits)
-
-
-def counting_kernel(i, j, cooc: CoocStats, omega_i=1.0, omega_j=1.0):
-    """omega_i * omega_j * P_ij^2 / (P_i P_j); 1 * scales on self-pairs."""
-    if i == j:
-        return omega_i * omega_j
-    pi = cooc.item_count[i]
-    pj = cooc.item_count[j]
-    if pi == 0 or pj == 0:
-        return 0.0
-    pij = cooc.pair(i, j)
-    return omega_i * omega_j * (pij * pij) / (pi * pj)
-
-
-def item_kernel(x_i, x_j, omega_i=1.0, omega_j=1.0, variant="linear"):
-    """Similarity of two unit-norm representations, scaled by omega_i*omega_j."""
-    if variant == "linear":
-        return omega_i * omega_j * float(np.dot(x_i, x_j))
-    if variant == "rbf":
-        return omega_i * omega_j * float(np.exp(-np.sum((x_i - x_j) ** 2)))
-    raise ValueError(f"unknown item kernel variant {variant!r}")
-
-
-def user_kernel(x_i, x_j, u_s, w_user_mod, omega_i=1.0, omega_j=1.0):
-    """Linear kernel on representations modulated by w = W u_s (Hadamard)."""
-    w = w_user_mod @ u_s
-    return omega_i * omega_j * float(np.dot(w * x_i, w * x_j))
 
 
 def mixture(u_s, w_mix, b_mix, active=KERNEL_ORDER):
@@ -167,29 +106,3 @@ def normalize_correlation_backward(d_psi, cache, jitter):
     d_droot = -(contrib.sum(axis=-1) + contrib.sum(axis=-2)) / droot
     d_tilde[..., idx, idx] += 0.5 * d_droot / droot
     return d_tilde
-
-
-def correlation_matrix(x_window, counting_base, u_s, omega, weights: KernelWeights,
-                       active=KERNEL_ORDER, item_variant="linear", jitter=1e-5):
-    """Full correlation construction for one sequence window.
-
-    x_window: [n, d] raw representations (normalized internally);
-    counting_base: [n, n] P_ij^2/(P_i P_j) matrix from CoocStats.counting_base;
-    omega: [n] positive scales (used for the reported gram; the normalized
-    correlation cancels them exactly).
-    """
-    xhat, _ = l2_normalize(x_window)
-    grams = {}
-    if "C" in active:
-        grams["C"] = counting_base
-    if "I" in active:
-        grams["I"] = item_gram(xhat, item_variant)
-    if "U" in active:
-        w_vec = weights.w_user_mod @ u_s
-        grams["U"], _ = user_gram(xhat[None], w_vec[None])
-        grams["U"] = grams["U"][0]
-    r = mixture(u_s, weights.w_mix, weights.b_mix, active)
-    psi_tilde = sum(r[a] * grams[k] for a, k in enumerate(active))
-    psi, _ = normalize_correlation(psi_tilde, jitter)
-    gram = psi_tilde * np.outer(omega, omega)
-    return CorrelationOutput(omega=omega, psi=psi, gram=gram, mixture_r=r)

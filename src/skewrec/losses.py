@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .nnops import sigmoid, softplus
 
 
@@ -78,6 +79,6 @@ def listmle_loss(scores, counts):
 def total_loss(l_z, l_rank, lambda_r) -> LossReport:
     total = l_z + lambda_r * l_rank
     if not np.isfinite(total):
-        raise ValueError(f"non-finite loss: l_z={l_z}, l_rank={l_rank}")
+        raise NumericalError(f"non-finite loss: l_z={l_z}, l_rank={l_rank}")
     return LossReport(l_z=float(l_z), l_rank=float(l_rank), total=float(total),
                       lambda_r=float(lambda_r))

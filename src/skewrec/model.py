@@ -75,13 +75,14 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
 class BatchFeatures:
     """Parameter-free per-batch arrays derived from item ids and counts."""
     cnt_base: np.ndarray  # [B, L, L] counting-kernel base
-    cooc_win: np.ndarray  # [B, L, L] raw co-occurrence window (diag = P_i)
+    cooc_win: np.ndarray  # [B, L] last row of the raw co-occurrence window
     ahat: np.ndarray      # [B, L, L] two-hop alignment per query row
     amax: np.ndarray      # [B, L] row maxima of ahat
 
 
 class Featurizer:
-    """Computes and caches co-occurrence windows and two-hop alignments.
+    """Computes and caches counting bases, two-hop alignments and the last
+    co-occurrence row of each window.
 
     These depend only on item ids and global counts, never on parameters, so
     per-user rows are cached across epochs.
@@ -99,7 +100,7 @@ class Featurizer:
         ah = np.zeros((m, m))
         for q in range(1, m):
             ah[q, :q + 1] = alpha_hat(cw[:q + 1, :q + 1])
-        return cb, cw, ah, ah.max(axis=1)
+        return cb, cw[-1].copy(), ah, ah.max(axis=1)
 
     def row_features(self, items, tag=None, user=None):
         key = (tag, user) if tag is not None else None
@@ -113,7 +114,7 @@ class Featurizer:
     def batch_features(self, batch: Batch, tag: str | None = "train") -> BatchFeatures:
         b, L = batch.item_ids.shape
         cnt = np.zeros((b, L, L))
-        cwin = np.zeros((b, L, L))
+        cwin = np.zeros((b, L))
         ah = np.zeros((b, L, L))
         amax = np.zeros((b, L))
         idx = np.arange(L)
@@ -127,7 +128,7 @@ class Featurizer:
             items = batch.item_ids[r, o:]
             cb, cw, a, am = self.row_features(items, tag, int(batch.user_ids[r]))
             cnt[r, o:, o:] = cb
-            cwin[r, o:, o:] = cw
+            cwin[r, o:] = cw
             ah[r, o:, o:] = a
             amax[r, o:] = am
         return BatchFeatures(cnt, cwin, ah, amax)
@@ -348,7 +349,7 @@ def _rank_loss(params, cfg, cache, batch, feats, want_grads):
                 q = L - 1
                 cols = slice(L - m, q)
                 loss_r, grad_r = losses.listmle_loss(psi[r, q, cols],
-                                                     feats.cooc_win[r, q, cols])
+                                                     feats.cooc_win[r, cols])
                 total += loss_r
                 if want_grads:
                     seeds[bi][h][r, q, cols] = lam_scale * grad_r

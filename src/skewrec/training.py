@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .corpus import Batch, CoocStats, SplitDataset, make_batches
 from .errors import DataError, NumericalError
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -63,24 +63,15 @@ class Checkpoint:
     params: model.ModelParams
     config: TrainConfig
     epoch: int
-    adam_m: dict
-    adam_v: dict
-    adam_t: int
-    rng_state: dict
     best_metric: float = 0.0
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     arrays = {f"param::{n}": a for n, a in model.named_tensors(ckpt.params)}
-    arrays.update({f"adam_m::{n}": a for n, a in ckpt.adam_m.items()})
-    arrays.update({f"adam_v::{n}": a for n, a in ckpt.adam_v.items()})
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config.to_dict(),
-        "config_hash": ckpt.config.config_hash(),
         "epoch": ckpt.epoch,
-        "adam_t": ckpt.adam_t,
-        "rng_state": ckpt.rng_state,
         "best_metric": ckpt.best_metric,
         "n_items": ckpt.params.item_emb.shape[0] - 1,
         "n_users": ckpt.params.user_emb.shape[0],
@@ -106,17 +97,25 @@ def load_checkpoint(path: str) -> Checkpoint:
             cfg = TrainConfig(**meta["config"])
             params = model.init_params(cfg, meta["n_items"], meta["n_users"],
                                        np.random.default_rng(0))
-            adam_m, adam_v = {}, {}
             for name, arr in model.named_tensors(params):
                 arr[...] = blob[f"param::{name}"]
-                adam_m[name] = blob[f"adam_m::{name}"].copy()
-                adam_v[name] = blob[f"adam_v::{name}"].copy()
     except (OSError, ValueError, KeyError, zipfile.BadZipFile,
             json.JSONDecodeError) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
-    return Checkpoint(params=params, config=cfg, epoch=meta["epoch"], adam_m=adam_m,
-                      adam_v=adam_v, adam_t=meta["adam_t"], rng_state=meta["rng_state"],
+    return Checkpoint(params=params, config=cfg, epoch=meta["epoch"],
                       best_metric=meta.get("best_metric", 0.0))
+
+
+def check_compatible(ckpt: Checkpoint, split: SplitDataset) -> None:
+    """Refuse to apply a checkpoint to a dataset whose item catalog or user
+    count differs from the one it was trained on: ids would index past its
+    embedding tables, or score against rows that belong to other items."""
+    trained = (ckpt.params.item_emb.shape[0] - 1, ckpt.params.user_emb.shape[0])
+    given = (split.n_items, split.n_users)
+    if trained != given:
+        raise DataError(
+            f"checkpoint was trained on {trained[0]} items x {trained[1]} users, "
+            f"but the dataset has {given[0]} items x {given[1]} users")
 
 
 @dataclass
@@ -151,13 +150,12 @@ def train(cfg: TrainConfig, split: SplitDataset, cooc: CoocStats,
             for batch in make_batches(split, cfg.batch_size, cfg.max_len,
                                       cfg.k_neg_train, rng):
                 feats = feat.batch_features(batch, "train")
-                report, grads = model.training_step_loss(
-                    params, cfg, batch, feats, rng=noise_rng, drop_rng=drop_rng)
-                if not np.isfinite(report.total):
+                try:
+                    report, grads = model.training_step_loss(
+                        params, cfg, batch, feats, rng=noise_rng, drop_rng=drop_rng)
+                except NumericalError as exc:
                     _dump_bad_batch(batch, log_path)
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch} step {step}: "
-                        f"l_z={report.l_z} l_rank={report.l_rank}")
+                    raise NumericalError(f"epoch {epoch} step {step + 1}: {exc}") from exc
                 grads.item_emb[0] = 0.0
                 clip_global_norm(grads, cfg.grad_clip)
                 opt.step(params, grads)
@@ -198,8 +196,7 @@ def train(cfg: TrainConfig, split: SplitDataset, cooc: CoocStats,
         best_params = params
         best_epoch = cfg.max_epochs
     ckpt = Checkpoint(params=best_params, config=cfg, epoch=best_epoch,
-                      adam_m=opt.m, adam_v=opt.v, adam_t=opt.t,
-                      rng_state=rng.bit_generator.state, best_metric=best)
+                      best_metric=best)
     return TrainResult(checkpoint=ckpt, log=log)
 
 

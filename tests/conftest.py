@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewrec import corpus
+from skewrec import attention, corpus
 
 
 def synth_log_lines(n_users, n_items, rng, min_len=3, max_len_actions=12,
@@ -52,3 +52,38 @@ def make_cooc(n_items, item_count, pair_counts):
         mat[i, j] = c
         mat[j, i] = c
     return corpus.CoocStats(counts, mat.tocsr())
+
+
+def random_head(d, rng, dh=None, scale=1.0):
+    """Head parameters with every weight drawn from N(0, scale^2)."""
+    dh = d if dh is None else dh
+    mat = lambda *shape: rng.normal(0.0, scale, size=shape)
+    return attention.HeadParams(
+        wq_loc=mat(d, dh), wk_loc=mat(d, dh), wq_om=mat(d, dh), wk_om=mat(d, dh),
+        wq_sh=mat(d, dh), wk_sh=mat(d, dh), wv=mat(d, dh), w_user_mod=mat(d, d),
+        w_mix=mat(d, 3), b_mix=mat(3))
+
+
+def run_head(hp, x, mode="location", active=("I",), cooc_window=None,
+             cnt_base=None, u=None, rng=None, want_psi=False, **opts):
+    """One attention head over a single unpadded window, through the batched
+    `attention._head_forward` on a one-row batch; returns (output, cache).
+
+    The two-hop alignments come from `cooc_window` (zeros when omitted) the
+    way the featurizer derives them; `opts` go to `attention.AttnOpts`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    c = np.zeros((n, n)) if cooc_window is None else np.asarray(cooc_window, dtype=float)
+    ahat = np.zeros((n, n))
+    for q in range(1, n):
+        ahat[q, :q + 1] = attention.alpha_hat(c[:q + 1, :q + 1])
+    cnt = np.eye(n) if cnt_base is None else np.asarray(cnt_base, dtype=float)
+    u = np.zeros(d) if u is None else np.asarray(u, dtype=np.float64)
+    valid = np.ones((1, n), dtype=bool)
+    attn_mask = np.tril(np.ones((n, n), dtype=bool))[None]
+    out, cache = attention._head_forward(
+        hp, x[None], u[None], cnt[None], ahat[None], ahat.max(axis=1)[None], valid,
+        attn_mask, valid, mode, attention.AttnOpts(active=active, dtype=np.float64, **opts),
+        rng=rng, want_psi=want_psi)
+    return out[0], cache

@@ -16,7 +16,7 @@ from skewrec import attention, corpus, evaluation, kernels, losses, model, skewn
     training
 from skewrec.config import TrainConfig
 
-from conftest import build_corpus, synth_log_lines
+from conftest import build_corpus, run_head, synth_log_lines
 from test_attention import alpha_hat_oracle
 from test_losses import listmle_oracle
 
@@ -215,10 +215,7 @@ class TestCriterion6DegenerateLimit:
             wk_om=np.zeros((d, d)), wq_sh=np.zeros((d, d)), wk_sh=np.zeros((d, d)),
             wv=np.eye(d), w_user_mod=np.eye(d), w_mix=np.zeros((d, 3)),
             b_mix=np.zeros(3))
-        opts = attention.AttnOpts(active=("I",), dtype=np.float64)
-        h, _ = attention.single_head_attention(x, np.eye(3), None, None, np.zeros(d), hp,
-                                      opts, mode="eval_location",
-                                      cooc_window=np.zeros((3, 3)))
+        h, _ = run_head(hp, x, "location", active=("I",))
         scores = x @ x.T / np.sqrt(d)
         expect = np.zeros((3, d))
         for q in range(3):

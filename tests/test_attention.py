@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from skewrec import attention, corpus, kernels, model, skewnorm
+from skewrec import attention, corpus, model, skewnorm
 from skewrec.config import TrainConfig
 from skewrec.errors import DataError
+from skewrec.nnops import bilinear_scores
 
-from conftest import build_corpus, make_cooc, synth_log_lines
+import oracles
+from conftest import make_cooc, random_head, run_head
 
 LN2 = float(np.log(2.0))
 
@@ -32,22 +34,24 @@ def tiny_setup(n=6, d=8, seed=0, blocks=1, heads=1, dtype="float64", **kw):
 
 
 class TestLocationXi:
+    """The location of every row's logits is the scaled bilinear score."""
+
     def test_identity_weights_orthonormal_rows(self):
         d = 4
         x = np.eye(d)
-        xi = attention.location_xi(x, np.eye(d), np.eye(d))
+        xi, _ = bilinear_scores(x, np.eye(d), np.eye(d))
         np.testing.assert_allclose(xi, np.eye(d) / np.sqrt(d), rtol=1e-12)
 
     def test_zero_weights(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
-        assert not attention.location_xi(x, np.zeros((3, 3)), np.zeros((3, 3))).any()
+        xi, _ = bilinear_scores(x, np.zeros((3, 3)), np.zeros((3, 3)))
+        assert not xi.any()
 
     def test_shape(self):
         rng = np.random.default_rng(1)
-        xi = attention.location_xi(rng.normal(size=(50, 16)),
-                                   rng.normal(size=(16, 16)),
-                                   rng.normal(size=(16, 16)))
-        assert xi.shape == (50, 50)
+        xi, _ = bilinear_scores(rng.normal(size=(2, 50, 16)),
+                                rng.normal(size=(16, 16)), rng.normal(size=(16, 16)))
+        assert xi.shape == (2, 50, 50)
 
 
 def alpha_hat_oracle(c):
@@ -98,21 +102,27 @@ class TestAlphaHat:
 
 
 class TestShapeAlpha:
+    """hc["alpha"]: softplus shape head times the max-normalized two-hop
+    alignment of each query row; all-zero co-occurrence falls back to 0."""
+
     def test_zero_cooccurrence_falls_back_to_gaussian(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 4))
-        a = attention.shape_alpha(x, np.zeros((5, 5)), rng.normal(size=(4, 4)),
-                                  rng.normal(size=(4, 4)))
-        assert not a.any()
+        hp = random_head(4, rng)
+        _, hc = run_head(hp, x, "mean_shift", cooc_window=np.zeros((5, 5)))
+        assert not hc["alpha"].any()
 
     def test_argmax_with_zero_head_gives_ln2(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 3))
         c = np.abs(rng.integers(1, 5, size=(4, 4))).astype(float)
         c = c + c.T
-        a = attention.shape_alpha(x, c, np.zeros((3, 3)), np.zeros((3, 3)))
+        hp = random_head(3, rng)
+        hp.wq_sh[:] = 0.0
+        hp.wk_sh[:] = 0.0
+        _, hc = run_head(hp, x, "mean_shift", cooc_window=c)
         ah = attention.alpha_hat(c)
-        assert a[np.argmax(ah)] == pytest.approx(LN2, rel=1e-12)
+        assert hc["alpha"][0, -1, np.argmax(ah)] == pytest.approx(LN2, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
@@ -120,67 +130,48 @@ class TestShapeAlpha:
             x = rng.normal(size=(5, 4))
             c = np.abs(rng.normal(size=(5, 5)))
             c = c + c.T
-            a = attention.shape_alpha(x, c, rng.normal(size=(4, 4)),
-                                      rng.normal(size=(4, 4)))
-            assert a.min() >= 0
+            _, hc = run_head(random_head(4, rng), x, "mean_shift", cooc_window=c)
+            assert hc["alpha"].min() >= 0
 
 
 class TestSingleSequenceForward:
-    def _head(self, cfg, params):
-        return params.blocks[0].heads[0], model._attn_opts(cfg)
+    """The batched model on a one-sequence batch, read through its traces."""
 
     def test_singleton_key_gets_full_weight(self):
-        cfg, params, cooc, _ = tiny_setup(n=3)
-        hp, opts = self._head(cfg, params)
-        x = np.random.default_rng(0).normal(size=(3, cfg.dim))
-        h, trace = attention.single_head_attention(x, cooc.counting_base([1, 2, 3]), None, None,
-                                          params.user_emb[0], hp, opts,
-                                          mode="eval_location",
-                                          cooc_window=cooc.window([1, 2, 3]))
-        assert trace.attn[0, 0] == pytest.approx(1.0)
+        cfg, params, cooc, feat = tiny_setup(n=3)
+        batch = full_batch([1, 2, 3])
+        _, trace = model.collect_trace(params, cfg, batch, feat.batch_features(batch, None))
+        assert trace[0][0]["attn"][0, 0] == pytest.approx(1.0)
 
     def test_rows_sum_to_one(self):
-        cfg, params, cooc, _ = tiny_setup(n=5)
-        hp, opts = self._head(cfg, params)
-        x = np.random.default_rng(1).normal(size=(5, cfg.dim))
-        items = [1, 2, 3, 4, 5]
-        _, trace = attention.single_head_attention(x, cooc.counting_base(items), None, None,
-                                          params.user_emb[0], hp, opts,
-                                          mode="train_stochastic",
-                                          rng=np.random.default_rng(2),
-                                          cooc_window=cooc.window(items))
+        cfg, params, cooc, feat = tiny_setup(n=5)
+        batch = full_batch([1, 2, 3, 4, 5])
+        _, trace = model.collect_trace(params, cfg, batch, feat.batch_features(batch, None),
+                                       mode="stochastic", rng=np.random.default_rng(2))
+        attn = trace[0][0]["attn"]
         for q in range(5):
-            assert trace.attn[q, :q + 1].sum() == pytest.approx(1.0, abs=1e-5)
-            assert not trace.attn[q, q + 1:].any()
+            assert attn[q, :q + 1].sum() == pytest.approx(1.0, abs=1e-5)
+            assert not attn[q, q + 1:].any()
 
     def test_degenerate_noise_matches_location(self):
         cfg, params, cooc, _ = tiny_setup(n=4, omega_cap=1e-9)
-        hp, opts = self._head(cfg, params)
-        x = np.random.default_rng(3).normal(size=(4, cfg.dim))
-        items = [1, 2, 3, 4]
-        zero_c = np.zeros((4, 4))
-        h_sto, _ = attention.single_head_attention(x, zero_c, None, None, params.user_emb[0],
-                                          hp, opts, mode="train_stochastic",
-                                          rng=np.random.default_rng(5),
-                                          cooc_window=zero_c)
-        opts_loc = model._attn_opts(cfg)
-        h_loc, _ = attention.single_head_attention(x, zero_c, None, None, params.user_emb[0],
-                                          hp, opts_loc, mode="eval_location",
-                                          cooc_window=zero_c)
-        np.testing.assert_allclose(h_sto, h_loc, atol=1e-6)
+        zero_cooc = make_cooc(9, {}, {})
+        batch = full_batch([1, 2, 3, 4])
+        feats = model.Featurizer(zero_cooc, 4).batch_features(batch, None)
+        _, c_sto = model.forward(params, cfg, batch, feats, "stochastic",
+                                 rng=np.random.default_rng(5))
+        _, c_loc = model.forward(params, cfg, batch, feats, "location")
+        np.testing.assert_allclose(c_sto["block_caches"][0]["concat"],
+                                   c_loc["block_caches"][0]["concat"], atol=1e-6)
 
     def test_mixture_weights_in_trace_simplex(self):
-        cfg, params, cooc, _ = tiny_setup(n=4)
-        hp, opts = self._head(cfg, params)
-        x = np.random.default_rng(6).normal(size=(4, cfg.dim))
-        items = [2, 3, 4, 5]
-        _, trace = attention.single_head_attention(x, cooc.counting_base(items), None, None,
-                                          params.user_emb[1], hp, opts,
-                                          mode="eval_location",
-                                          cooc_window=cooc.window(items))
-        assert trace.mixture_r.sum() == pytest.approx(1.0, abs=1e-6)
-        assert trace.psi.shape == (4, 4)
-        np.testing.assert_array_equal(np.diag(trace.psi), 1.0)
+        cfg, params, cooc, feat = tiny_setup(n=4)
+        batch = full_batch([2, 3, 4, 5], user=1)
+        _, trace = model.collect_trace(params, cfg, batch, feat.batch_features(batch, None))
+        t = trace[0][0]
+        assert t["mixture_r"].sum() == pytest.approx(1.0, abs=1e-6)
+        assert t["psi"].shape == (4, 4)
+        np.testing.assert_array_equal(np.diag(t["psi"]), 1.0)
 
 
 class TestSamplingConsistency:
@@ -213,6 +204,8 @@ class TestSamplingConsistency:
             np.testing.assert_allclose(hc["z"][0, q, win], z_ref, rtol=1e-10)
 
     def test_batched_psi_matches_public_correlation_op(self):
+        """The batched correlation equals the per-window oracle built one
+        kernel entry at a time, with the scales left in to cancel."""
         cfg, params, cooc, feat = tiny_setup(n=5, seed=9)
         items = [2, 4, 6, 8, 1]
         batch = full_batch(items, user=2)
@@ -222,16 +215,14 @@ class TestSamplingConsistency:
         hc = cache["block_caches"][0]["head_caches"][0]
         hp = params.blocks[0].heads[0]
         x = params.item_emb[batch.item_ids[0]] + params.pos_emb
-        weights = kernels.KernelWeights(hp.wq_om, hp.wk_om, hp.w_user_mod,
-                                        hp.w_mix, hp.b_mix)
-        omega = kernels.variance_omega(x, 4, hp.wq_om, hp.wk_om)
-        out = kernels.correlation_matrix(x, cooc.counting_base(items),
-                                         params.user_emb[2], omega, weights,
-                                         active=cfg.active_kernels(),
-                                         item_variant=cfg.kernel_item_variant,
-                                         jitter=cfg.kernel_jitter)
-        np.testing.assert_allclose(hc["psi"][0], out.psi, rtol=1e-10)
-        np.testing.assert_allclose(hc["omega"][0, 4], out.omega, rtol=1e-10)
+        om_ref = np.logaddexp(0.0, (x[4] @ hp.wq_om) @ (x @ hp.wk_om).T
+                              / np.sqrt(hp.wq_om.shape[1]))
+        psi_ref = oracles.window_correlation(
+            items, x, params.user_emb[2], hp.w_user_mod, hp.w_mix, hp.b_mix, cooc,
+            cfg.active_kernels(), cfg.kernel_item_variant, cfg.kernel_jitter,
+            omega=hc["omega"][0, 4])
+        np.testing.assert_allclose(hc["psi"][0], psi_ref, rtol=1e-10)
+        np.testing.assert_allclose(hc["omega"][0, 4], om_ref, rtol=1e-10)
 
 
 class TestStackProperties:
@@ -285,17 +276,19 @@ class TestStackProperties:
         assert f.shape == (1, 4, 8)
         concat = cache["block_caches"][0]["concat"]
         assert concat.shape == (1, 4, 8)  # two heads of width 4
-        # single head: the block's pre-projection output equals the public op
+        # single head: the block's pre-projection output is causal
+        # softmax((x wq)(x wk)^T / sqrt(d)) (x wv), row by row
         cfg1, params1, cooc1, feat1 = tiny_setup(n=4, d=8, heads=1, blocks=1, seed=12)
         batch1 = full_batch([1, 2, 3, 4])
         feats1 = feat1.batch_features(batch1, None)
         _, cache1 = model.forward(params1, cfg1, batch1, feats1, "location")
         hp = params1.blocks[0].heads[0]
         x = params1.item_emb[batch1.item_ids[0]] + params1.pos_emb
-        h_ref, _ = attention.single_head_attention(
-            x, cooc1.counting_base([1, 2, 3, 4]), None, None, params1.user_emb[0],
-            hp, model._attn_opts(cfg1), mode="eval_location",
-            cooc_window=cooc1.window([1, 2, 3, 4]))
+        h_ref = np.zeros((4, 8))
+        for q in range(4):
+            logits = (x[q] @ hp.wq_loc) @ (x[:q + 1] @ hp.wk_loc).T / np.sqrt(8)
+            w = np.exp(logits - logits.max())
+            h_ref[q] = (w / w.sum()) @ (x[:q + 1] @ hp.wv)
         np.testing.assert_allclose(cache1["block_caches"][0]["concat"][0], h_ref,
                                    rtol=1e-10)
 
@@ -340,10 +333,7 @@ class TestStackProperties:
                                   wk_sh=np.zeros((d, d)), wv=wv,
                                   w_user_mod=np.eye(d), w_mix=np.zeros((d, 3)),
                                   b_mix=np.zeros(3))
-        opts = attention.AttnOpts(active=("I",), dtype=np.float64)
-        h, trace = attention.single_head_attention(x, np.eye(3), None, None, np.zeros(d), hp,
-                                          opts, mode="eval_location",
-                                          cooc_window=np.zeros((3, 3)))
+        h, _ = run_head(hp, x, "location", active=("I",))
         scores = x @ x.T / np.sqrt(d)
         expect = np.zeros((3, d))
         for q in range(3):
@@ -355,24 +345,38 @@ class TestStackProperties:
 
 
 class TestRelevanceScores:
+    """Tied-weight relevance (`model.score_positions`): a position's
+    representation dotted with the item-table rows of its candidates."""
+
+    def _scores(self, f_row, table, candidates, target=1):
+        params = model.ModelParams(item_emb=table, pos_emb=None, user_emb=None, blocks=[])
+        batch = corpus.Batch(item_ids=np.ones((1, 1), dtype=np.int64),
+                             targets=np.array([[target]]),
+                             negatives=np.array([[candidates]]),
+                             user_ids=np.zeros(1, dtype=np.int64),
+                             pad_mask=np.ones((1, 1), dtype=bool))
+        s_pos, s_neg, _, _ = model.score_positions(params, f_row[None, None], batch)
+        return s_pos[0, 0], s_neg[0, 0]
+
     def test_self_match_wins(self):
         rng = np.random.default_rng(14)
         table = rng.normal(size=(8, 4))
         table /= np.linalg.norm(table, axis=1, keepdims=True)
-        scores = attention.relevance_scores(table[3], table)
+        _, scores = self._scores(table[3], table, list(range(1, 8)))
         assert scores.argmax() == 2  # row 3 is item id 3 -> index 2 among real items
 
     def test_subset_consistency(self):
         rng = np.random.default_rng(15)
         table = rng.normal(size=(10, 4))
         f = rng.normal(size=4)
-        full = attention.relevance_scores(f, table)
-        subset = attention.relevance_scores(f, table, candidates=[4, 7, 2])
+        _, full = self._scores(f, table, list(range(1, 10)))
+        _, subset = self._scores(f, table, [4, 7, 2])
         np.testing.assert_allclose(subset, full[[3, 6, 1]], rtol=1e-12)
 
     def test_padding_excluded(self):
-        table = np.ones((5, 3))
-        table[0] = 100.0
-        scores = attention.relevance_scores(np.ones(3), table)
-        assert scores.shape == (4,)
-        assert scores.max() == pytest.approx(3.0)
+        cfg, params, _, _ = tiny_setup(n=3)
+        f = np.random.default_rng(16).normal(size=cfg.dim)
+        s_pad, _ = self._scores(f, params.item_emb, [1], target=0)
+        s_real, _ = self._scores(f, params.item_emb, [1], target=2)
+        assert s_pad == 0.0  # the padding row is pinned to zero
+        assert s_real != 0.0

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from skewrec import cli
+from skewrec import cli, model
 
 from conftest import synth_log_lines
 
@@ -121,6 +121,51 @@ class TestTrainEval:
                          "--baseline"]) == 0
         saved = json.loads(open(os.path.join(run_dir, "config.json")).read())
         assert saved["baseline"] is True
+
+
+def shape_of(data_dir):
+    ds = json.loads(open(os.path.join(data_dir, "dataset.json")).read())
+    return f"{ds['n_items']} items x {len(ds['user_ids'])} users"
+
+
+class TestFailurePaths:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_loss_exits_3_with_batch_dump(self, prepared, tmp_path,
+                                                     monkeypatch, capsys):
+        init_params = model.init_params
+
+        def poisoned(*args, **kwargs):
+            params = init_params(*args, **kwargs)
+            params.blocks[0].ffn_w1[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(model, "init_params", poisoned)
+        run_dir = tmp_path / "run_nan"
+        code = cli.main(["train", "--data-dir", prepared, "--out-dir", str(run_dir),
+                         "--dim", "8", "--blocks", "1", "--max-epochs", "1",
+                         "--batch-size", "16", "--seed", "5"])
+        assert code == 3
+        assert "epoch 1 step 1" in capsys.readouterr().err
+        dump = np.load(run_dir / "bad_batch.npz")
+        assert dump["item_ids"].shape[0] == 16
+
+    @pytest.mark.parametrize("n_users,n_items", [(40, 35), (15, 12)])
+    def test_checkpoint_dataset_mismatch_exits_2(self, trained, prepared, tmp_path,
+                                                 capsys, n_users, n_items):
+        raw = tmp_path / f"raw_{n_users}.txt"
+        lines = synth_log_lines(n_users, n_items, np.random.default_rng(3),
+                                min_len=4, max_len_actions=9)
+        raw.write_text("\n".join(lines) + "\n")
+        other = str(tmp_path / f"data_{n_users}")
+        assert cli.main(["prepare", "--input", str(raw), "--out-dir", other,
+                         "--max-len", "10"]) == 0
+        ckpt = os.path.join(trained, "checkpoint.npz")
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", ckpt, "--data-dir", other]) == 2
+        err = capsys.readouterr().err
+        assert shape_of(prepared) in err and shape_of(other) in err
+        assert cli.main(["inspect", "--checkpoint", ckpt, "--data-dir", other,
+                         "--out-dir", str(tmp_path / "ins"), "--user-id", "0"]) == 2
 
 
 class TestGradcheckCommand:

@@ -18,11 +18,6 @@ class TestDefaults:
         assert cfg.k_neg_train == 1
         assert cfg.k_neg_eval == 100
 
-    def test_config_hash_stable_and_sensitive(self):
-        a, b = TrainConfig(), TrainConfig()
-        assert a.config_hash() == b.config_hash()
-        assert TrainConfig(seed=1).config_hash() != a.config_hash()
-
 
 class TestValidation:
     def test_dropout_range(self):

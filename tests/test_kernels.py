@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from skewrec import kernels
+from skewrec import corpus, kernels
 from skewrec.errors import NumericalError
 
-from conftest import make_cooc
+import oracles
+from conftest import make_cooc, random_head, run_head
 
 LN2 = np.log(2.0)
 
@@ -15,85 +16,139 @@ def unit(v):
 
 
 class TestVarianceOmega:
+    """hc["omega"]: softplus of the scaled bilinear scale-head score."""
+
     def test_zero_weights_give_ln2(self):
-        x = np.random.default_rng(0).normal(size=(6, 4))
-        om = kernels.variance_omega(x, 2, np.zeros((4, 4)), np.zeros((4, 4)))
-        np.testing.assert_allclose(om, LN2, atol=1e-12)
+        rng = np.random.default_rng(0)
+        hp = random_head(4, rng)
+        hp.wq_om[:] = 0.0
+        hp.wk_om[:] = 0.0
+        _, hc = run_head(hp, rng.normal(size=(6, 4)), "mean_shift")
+        np.testing.assert_allclose(hc["omega"], LN2, atol=1e-12)
 
     def test_always_positive(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.normal(scale=3.0, size=(5, 8))
-            wq, wk = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
-            assert kernels.variance_omega(x, 4, wq, wk).min() > 0
+            _, hc = run_head(random_head(8, rng), x, "mean_shift")
+            assert hc["omega"].min() > 0
 
     def test_hand_value(self):
         # projected vectors [1,0,0,0] and [2,0,0,0], width 4 -> softplus(2/2)
         x = np.zeros((2, 4))
         x[0, 0] = 1.0
         x[1, 0] = 2.0
-        om = kernels.variance_omega(x, 0, np.eye(4), np.eye(4))
+        hp = random_head(4, np.random.default_rng(2))
+        hp.wq_om[:] = np.eye(4)
+        hp.wk_om[:] = np.eye(4)
+        _, hc = run_head(hp, x, "mean_shift")
+        om = hc["omega"][0, 0]
         assert om[1] == pytest.approx(np.log1p(np.e), rel=1e-12)  # softplus(1)
         assert om[1] == pytest.approx(1.3133, abs=1e-4)
 
 
 class TestCountingKernel:
+    """`CoocStats.counting_base`, scaled by omega_i * omega_j."""
+
     def test_formula(self):
         cooc = make_cooc(4, {1: 4, 2: 2}, {(1, 2): 2})
-        assert kernels.counting_kernel(1, 2, cooc) == pytest.approx(0.5)
+        assert cooc.counting_base([1, 2])[0, 1] == pytest.approx(0.5)
+        assert oracles.counting_kernel(1, 2, cooc) == pytest.approx(0.5)
 
     def test_zero_pair(self):
         cooc = make_cooc(4, {1: 4, 2: 2}, {})
-        assert kernels.counting_kernel(1, 2, cooc) == 0.0
+        assert cooc.counting_base([1, 2])[0, 1] == 0.0
 
     def test_self_pair_is_omega_squared(self):
         cooc = make_cooc(4, {1: 4}, {})
-        assert kernels.counting_kernel(1, 1, cooc, 3.0, 3.0) == pytest.approx(9.0)
+        gram = cooc.counting_base([1, 1]) * 9.0  # omega = 3 at both positions
+        np.testing.assert_allclose(gram, 9.0)
+        assert oracles.counting_kernel(1, 1, cooc, 3.0, 3.0) == pytest.approx(9.0)
 
     def test_bounded_by_omega_product(self):
         rng = np.random.default_rng(2)
         cooc = make_cooc(3, {1: 5, 2: 3}, {(1, 2): 3})
+        base = cooc.counting_base([1, 2])
         for _ in range(20):
-            oi, oj = rng.uniform(0.1, 4.0, size=2)
-            val = kernels.counting_kernel(1, 2, cooc, oi, oj)
-            assert 0.0 <= val <= oi * oj + 1e-12
+            omega = rng.uniform(0.1, 4.0, size=2)
+            val = (base * np.outer(omega, omega))[0, 1]
+            assert 0.0 <= val <= omega[0] * omega[1] + 1e-12
 
 
 class TestItemKernel:
+    """`kernels.item_gram` on unit-norm representations."""
+
     def test_identical_unit_vectors(self):
-        x = unit([1.0, 2.0, -1.0])
-        assert kernels.item_kernel(x, x, variant="linear") == pytest.approx(1.0)
-        assert kernels.item_kernel(x, x, variant="rbf") == pytest.approx(1.0)
+        x = np.vstack([unit([1.0, 2.0, -1.0])] * 2)
+        assert kernels.item_gram(x, "linear")[0, 1] == pytest.approx(1.0)
+        assert kernels.item_gram(x, "rbf")[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_unit_vectors(self):
-        xi, xj = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert kernels.item_kernel(xi, xj, variant="linear") == pytest.approx(0.0)
-        assert kernels.item_kernel(xi, xj, variant="rbf") == pytest.approx(np.exp(-2.0))
+        x = np.eye(2)
+        assert kernels.item_gram(x, "linear")[0, 1] == pytest.approx(0.0)
+        assert kernels.item_gram(x, "rbf")[0, 1] == pytest.approx(np.exp(-2.0))
 
     def test_omega_scaling(self):
-        x = unit([0.3, -0.7, 0.2])
-        assert kernels.item_kernel(x, x, 2.0, 3.0, "linear") == pytest.approx(6.0)
+        x = np.vstack([unit([0.3, -0.7, 0.2])] * 2)
+        gram = kernels.item_gram(x, "linear") * np.outer([2.0, 3.0], [2.0, 3.0])
+        assert gram[0, 1] == pytest.approx(6.0)
 
 
 class TestUserKernel:
+    """`kernels.user_gram` with modulation w = W u_s."""
+
     def test_identity_modulation_reduces_to_linear(self):
         rng = np.random.default_rng(3)
-        xi, xj = unit(rng.normal(size=4)), unit(rng.normal(size=4))
+        xhat = np.vstack([unit(rng.normal(size=4)), unit(rng.normal(size=4))])
         u = rng.normal(size=4)
         w_mod = np.outer(np.ones(4), u) / (u @ u)  # w_mod @ u = ones
-        got = kernels.user_kernel(xi, xj, u, w_mod)
-        assert got == pytest.approx(kernels.item_kernel(xi, xj, variant="linear"))
+        got, _ = kernels.user_gram(xhat, w_mod @ u)
+        np.testing.assert_allclose(got, kernels.item_gram(xhat, "linear"), rtol=1e-12)
 
     def test_zero_modulation(self):
-        xi, xj = unit([1, 0.0]), unit([0.5, 1])
-        assert kernels.user_kernel(xi, xj, np.zeros(2), np.eye(2)) == 0.0
+        xhat = np.vstack([unit([1, 0.0]), unit([0.5, 1])])
+        got, _ = kernels.user_gram(xhat, np.zeros(2))
+        assert not got.any()
 
     def test_hand_case(self):
         # modulation vector [1, 2], x_i = [1, 0], x_j = [1, 1] -> [1,0]@[1,2] = 1
         u = np.array([1.0, 0.0])
         w_mod = np.array([[1.0, 0.0], [2.0, 0.0]])  # w_mod @ u = [1, 2]
-        val = kernels.user_kernel(np.array([1.0, 0.0]), np.array([1.0, 1.0]), u, w_mod)
-        assert val == pytest.approx(1.0)
+        got, _ = kernels.user_gram(np.array([[1.0, 0.0], [1.0, 1.0]]), w_mod @ u)
+        assert got[0, 1] == pytest.approx(1.0)
+
+
+class TestGramsMatchScalarOracles:
+    def test_entry_by_entry(self):
+        """Every batched Gram entry equals the paper's scalar kernel."""
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n_items, n, d = int(rng.integers(3, 9)), int(rng.integers(2, 9)), 5
+            train = [list(rng.integers(1, n_items + 1, size=rng.integers(2, 7)))
+                     for _ in range(5)]
+            split = corpus.SplitDataset(
+                train=train, valid_target=[1] * 5, test_target=[1] * 5,
+                user_ids=list(range(5)), n_items=n_items, max_len=10,
+                item_ids=list(range(1, n_items + 1)))
+            cooc = corpus.build_cooc(split)
+            items = rng.integers(1, n_items + 1, size=n)  # repeats included
+            xhat = rng.normal(size=(n, d))
+            xhat /= np.linalg.norm(xhat, axis=1, keepdims=True)
+            u, w_mod = rng.normal(size=d), rng.normal(size=(d, d))
+            base = cooc.counting_base(items)
+            lin, rbf = kernels.item_gram(xhat, "linear"), kernels.item_gram(xhat, "rbf")
+            user, _ = kernels.user_gram(xhat, w_mod @ u)
+            for a in range(n):
+                for b in range(n):
+                    assert base[a, b] == pytest.approx(
+                        oracles.counting_kernel(items[a], items[b], cooc), rel=1e-12)
+                    assert lin[a, b] == pytest.approx(
+                        oracles.item_kernel(xhat[a], xhat[b]), rel=1e-12, abs=1e-15)
+                    assert rbf[a, b] == pytest.approx(
+                        oracles.item_kernel(xhat[a], xhat[b], variant="rbf"), rel=1e-12)
+                    assert user[a, b] == pytest.approx(
+                        oracles.user_kernel(xhat[a], xhat[b], u, w_mod), rel=1e-12,
+                        abs=1e-15)
 
 
 class TestMixture:
@@ -122,90 +177,69 @@ class TestMixture:
 
 
 class TestCorrelationMatrix:
+    """The correlation an attention head builds (`hc["psi"]`) from its
+    kernel mixture, through `kernels.normalize_correlation`."""
+
     def _build(self, n=5, d=6, seed=0, active=("C", "I", "U"), variant="linear",
-               x=None):
+               x=None, cnt_base=None, u=None):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d)) if x is None else x
-        weights = kernels.KernelWeights(
-            w_omega_q=rng.normal(size=(d, d)), w_omega_k=rng.normal(size=(d, d)),
-            w_user_mod=rng.normal(size=(d, d)), w_mix=rng.normal(size=(d, 3)),
-            b_mix=rng.normal(size=3))
-        u = rng.normal(size=d)
-        base = np.eye(n)  # counting base placeholder with unit diagonal
-        omega = kernels.variance_omega(x, n - 1, weights.w_omega_q, weights.w_omega_k)
-        out = kernels.correlation_matrix(x, base, u, omega, weights, active=active,
-                                         item_variant=variant)
-        return out, x, weights, u
+        u = rng.normal(size=x.shape[1]) if u is None else u
+        hp = random_head(x.shape[1], rng)
+        _, hc = run_head(hp, x, "location", active=active, cnt_base=cnt_base, u=u,
+                         want_psi=True, item_variant=variant)
+        return hc, x
 
     def test_unit_diagonal_rbf(self):
-        out, _, _, _ = self._build(active=("I",), variant="rbf")
-        np.testing.assert_array_equal(np.diag(out.psi), 1.0)
+        hc, _ = self._build(active=("I",), variant="rbf")
+        np.testing.assert_array_equal(np.diag(hc["psi"][0]), 1.0)
 
     def test_antiparallel_clamped(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        rng = np.random.default_rng(1)
-        weights = kernels.KernelWeights(*(rng.normal(size=(2, 2)) for _ in range(3)),
-                                        w_mix=rng.normal(size=(2, 3)),
-                                        b_mix=np.zeros(3))
-        omega = np.ones(2)
-        out = kernels.correlation_matrix(x, np.eye(2), np.zeros(2), omega, weights,
-                                         active=("I",), item_variant="linear",
-                                         jitter=1e-5)
-        assert out.psi[0, 1] == pytest.approx(-(1 - 1e-5) / (1 + 1e-5))
-        np.linalg.cholesky(out.psi)
+        hc, _ = self._build(x=x, seed=1, active=("I",), variant="linear")
+        psi = hc["psi"][0]
+        assert psi[0, 1] == pytest.approx(-(1 - 1e-5) / (1 + 1e-5))
+        np.linalg.cholesky(psi)
 
     def test_identical_rows_rbf_near_one(self):
         x = np.vstack([unit([1.0, 2.0, 3.0])] * 2)
-        rng = np.random.default_rng(2)
-        weights = kernels.KernelWeights(*(rng.normal(size=(3, 3)) for _ in range(3)),
-                                        w_mix=rng.normal(size=(3, 3)),
-                                        b_mix=np.zeros(3))
-        out = kernels.correlation_matrix(x, np.ones((2, 2)), np.zeros(3), np.ones(2),
-                                         weights, active=("I",), item_variant="rbf",
-                                         jitter=1e-5)
-        assert out.psi[0, 1] == pytest.approx((1 - 1e-5) / (1 + 1e-5))
-        np.linalg.cholesky(out.psi)
+        hc, _ = self._build(x=x, seed=2, active=("I",), variant="rbf")
+        psi = hc["psi"][0]
+        assert psi[0, 1] == pytest.approx((1 - 1e-5) / (1 + 1e-5))
+        np.linalg.cholesky(psi)
 
     def test_gram_reports_omega_factors(self):
-        out, x, weights, u = self._build(active=("I",))
+        # the mixed gram is the cancelled form; putting the omega_i * omega_j
+        # factors back in leaves the normalized correlation unchanged
+        hc, x = self._build(active=("I",))
         xhat = x / np.linalg.norm(x, axis=1, keepdims=True)
-        expect = (xhat @ xhat.T) * np.outer(out.omega, out.omega)
-        np.testing.assert_allclose(out.gram, expect, rtol=1e-10)
+        np.testing.assert_allclose(hc["psi_tilde"][0], xhat @ xhat.T, rtol=1e-10)
+        omega = hc["omega"][0, -1]
+        scaled, _ = kernels.normalize_correlation(
+            hc["psi_tilde"][0] * np.outer(omega, omega), 1e-5)
+        np.testing.assert_allclose(scaled, hc["psi"][0], rtol=1e-10)
 
     def test_cholesky_always_succeeds(self):
         for seed in range(30):
-            out, _, _, _ = self._build(n=7, seed=seed)
-            np.linalg.cholesky(out.psi)
+            hc, _ = self._build(n=7, seed=seed)
+            np.linalg.cholesky(hc["psi"][0])
 
     def test_repeated_item_counting_only_gives_clamped_ones(self):
         # one item at every timestep: the counting base is all ones, so the
         # correlation saturates at the clamp bound off the diagonal
-        from conftest import make_cooc
         cooc = make_cooc(3, {1: 5}, {})
         base = cooc.counting_base([1, 1, 1])
         np.testing.assert_array_equal(base, np.ones((3, 3)))
-        rng = np.random.default_rng(4)
-        weights = kernels.KernelWeights(*(rng.normal(size=(4, 4)) for _ in range(3)),
-                                        w_mix=rng.normal(size=(4, 3)),
-                                        b_mix=np.zeros(3))
-        out = kernels.correlation_matrix(rng.normal(size=(3, 4)), base, np.zeros(4),
-                                         np.ones(3), weights, active=("C",),
-                                         jitter=1e-5)
-        off = out.psi[~np.eye(3, dtype=bool)]
+        hc, _ = self._build(n=3, d=4, seed=4, active=("C",), cnt_base=base)
+        psi = hc["psi"][0]
+        off = psi[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, (1 - 1e-5) / (1 + 1e-5), rtol=1e-12)
-        np.linalg.cholesky(out.psi)
+        np.linalg.cholesky(psi)
 
     def test_nonpositive_self_similarity_raises(self):
         # only the user kernel active and a zero user embedding kills the diagonal
-        n, d = 3, 4
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(n, d))
-        weights = kernels.KernelWeights(
-            w_omega_q=np.zeros((d, d)), w_omega_k=np.zeros((d, d)),
-            w_user_mod=np.eye(d), w_mix=np.zeros((d, 3)), b_mix=np.zeros(3))
         with pytest.raises(NumericalError, match="row"):
-            kernels.correlation_matrix(x, np.eye(n), np.zeros(d), np.ones(n),
-                                       weights, active=("U",))
+            self._build(n=3, d=4, seed=3, active=("U",), u=np.zeros(4))
 
 
 class TestPsdProperties:

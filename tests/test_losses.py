@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skewrec import losses
+from skewrec.errors import NumericalError
 
 LN2 = float(np.log(2.0))
 
@@ -129,5 +130,5 @@ class TestTotalLoss:
         assert report.total == pytest.approx(1.002)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             losses.total_loss(np.nan, 0.0, 0.001)

@@ -120,10 +120,10 @@ class TestCheckpoint:
         cfg, split, cooc = toy_training(tmp_path, max_epochs=1)
         result = training.train(cfg, split, cooc)
         path = str(tmp_path / "ckpt.npz")
-        monkeypatch.setattr(training, "CHECKPOINT_FORMAT_VERSION", 42)
-        training.save_checkpoint(result.checkpoint, path)
         monkeypatch.setattr(training, "CHECKPOINT_FORMAT_VERSION", 1)
-        with pytest.raises(DataError, match="version"):
+        training.save_checkpoint(result.checkpoint, path)
+        monkeypatch.undo()
+        with pytest.raises(DataError, match="version 1 is not 2"):
             training.load_checkpoint(path)
 
 
