@@ -68,22 +68,41 @@ class AttnOpts:
     omega_cap: float | None = None
 
 
-def alpha_hat(c_window):
-    """Two-hop co-occurrence alignment of every position with the last one.
+def alpha_hat(c_window, valid=None):
+    """Two-hop co-occurrence alignments of every causal prefix of a window.
 
-    The diagonal of the window matrix is first replaced row-wise by the mean
-    of the other entries, then row j is dotted with the final column.
+    c_window: [..., n, n] co-occurrence windows, zero wherever a position is
+    padded; valid: [..., n] mask of real positions (all when None), padding
+    on the left. Returns [..., n, n] where row q is the alignment over the
+    prefix that ends at q: within that prefix the diagonal is replaced
+    row-wise by the mean of the other entries, then row j is dotted with
+    column q. Entries after q, at padded positions and on the first valid
+    row are zero; row -1 of an unpadded window is its full-window alignment.
+
+    All prefixes at once: with T = c @ triu(c), T[j, q] sums c[j, k] c[k, q]
+    over k <= q, and the prefix row means are cumulative sums, so only the
+    two diagonal terms of each product need replacing.
     """
     c = np.asarray(c_window, dtype=np.float64)
     n = c.shape[-1]
     if n < 2:
         raise DataError("two-hop alignment needs a window of at least 2 positions")
-    mod = c.copy()
+    if valid is None:
+        valid = np.ones(c.shape[:-1], dtype=bool)
+    before = np.cumsum(valid, axis=-1) - valid  # valid positions before q
+    # diagonals as views: a fancy-indexed diagonal is laid out column-major,
+    # which slows every broadcast product below several-fold
+    diag = np.diagonal(c, axis1=-2, axis2=-1)
+    t = c @ np.triu(c)
+    # rm[j, q]: mean of row j without its diagonal, over the prefix ending at q
+    rm = (np.cumsum(c, axis=-1) - diag[..., :, None]) / np.maximum(before, 1)[..., None, :]
+    rq = np.diagonal(rm, axis1=-2, axis2=-1)
+    out = t - (diag[..., :, None] + diag[..., None, :]) * c + c * (rm + rq[..., None, :])
     idx = np.arange(n)
-    diag = c[..., idx, idx]
-    row_means = (c.sum(axis=-1) - diag) / (n - 1)
-    mod[..., idx, idx] = row_means
-    return mod @ mod[..., :, -1]
+    out[..., idx, idx] = np.diagonal(t, axis1=-2, axis2=-1) - diag * diag + rq * rq
+    keep = (np.triu(np.ones((n, n), dtype=bool)) & valid[..., :, None]
+            & (valid & (before > 0))[..., None, :])
+    return np.swapaxes(np.where(keep, out, 0.0), -1, -2)
 
 
 def _head_forward(hp: HeadParams, x, u, cnt_base, ahat, amax, valid, attn_mask,

@@ -114,6 +114,9 @@ def _merged_config(args) -> RunConfig:
 def _load_prepared(data_dir: str):
     split = corpus.load_dataset(os.path.join(data_dir, "dataset.json"))
     cooc = corpus.load_cooc(os.path.join(data_dir, "cooc.npz"))
+    if cooc.n_items != split.n_items:
+        raise DataError(f"{data_dir}: cooc.npz counts {cooc.n_items} items but "
+                        f"dataset.json has {split.n_items}")
     return split, cooc
 
 

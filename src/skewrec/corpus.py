@@ -9,6 +9,8 @@ densely re-indexed on load; item id 0 is reserved for padding.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +89,7 @@ class CoocStats:
     def __init__(self, item_count: np.ndarray, pairs: sparse.csr_matrix):
         self.item_count = item_count          # [n_items + 1], index 0 unused
         self.pairs = pairs                    # symmetric csr, same indexing
+        self.pairs.sum_duplicates()           # sorted rows, for `window`'s lookups
 
     @property
     def n_items(self) -> int:
@@ -96,31 +99,63 @@ class CoocStats:
         return int(self.pairs[i, j])
 
     def window(self, items) -> np.ndarray:
-        """Dense co-occurrence matrix for a sequence window.
+        """Dense co-occurrence windows of one id sequence [n] or a block of
+        them [..., n], as [..., n, n].
 
         Off-diagonal [a, b] holds the pair count of items[a] and items[b];
         the diagonal holds the occurrence count P_i (every consumer of the
-        diagonal replaces it, so the stored value is inert).
+        diagonal replaces it, so the stored value is inert). The padding id 0
+        gives zero rows and columns: it is in no pair, and its diagonal is
+        zeroed. One sparse gather of the block's unique ids' rows serves
+        every window; the upper triangle is looked up and mirrored, since the
+        pair counts are symmetric.
         """
         idx = np.asarray(items, dtype=np.intp)
-        dense = np.asarray(self.pairs[idx][:, idx].todense(), dtype=np.float64)
-        np.fill_diagonal(dense, self.item_count[idx])
+        n = idx.shape[-1]
+        dense = np.zeros(idx.shape + (n,))
+        a, b = np.triu_indices(n, k=1)
+        if a.size:
+            uniq, inv = np.unique(idx, return_inverse=True)
+            rows = self.pairs[uniq]
+            # entry (r, j) of the gathered rows as the key r * width + j: the
+            # keys ascend (rows in order, sorted columns within a row), so
+            # each lookup is one binary search, done once per distinct pair
+            width = self.pairs.shape[1]
+            starts = np.append(np.arange(uniq.size) * width, np.iinfo(np.int64).max)
+            keys = np.repeat(starts, np.append(np.diff(rows.indptr), 1))
+            keys[:-1] += rows.indices  # the last key, above every lookup, ends the search
+            want, back = np.unique(inv.reshape(idx.shape)[..., a] * width + idx[..., b],
+                                   return_inverse=True)
+            pos = np.searchsorted(keys, want)
+            found = keys[pos] == want
+            counts = np.zeros(want.size)
+            counts[found] = rows.data[pos[found]]
+            upper = counts[back].reshape(idx.shape[:-1] + (a.size,))
+            dense[..., a, b] = upper
+            dense[..., b, a] = upper
+        k = np.arange(n)
+        dense[..., k, k] = np.where(idx != 0, self.item_count[idx], 0)
         return dense
 
     def counting_base(self, items) -> np.ndarray:
-        """Normalized counting similarity P_ij^2 / (P_i P_j) for a window.
+        """Normalized counting similarity P_ij^2 / (P_i P_j) for a window
+        [n] or a block of windows [..., n]; see `base_from_window`."""
+        return self.base_from_window(items, self.window(items))
+
+    def base_from_window(self, items, window) -> np.ndarray:
+        """The counting base of `items` from their already gathered window.
 
         Self-pairs (on the diagonal, and wherever the same item occupies two
         timesteps) take the value 1; pairs involving an item never seen in
-        training contribute 0 off the self-pair.
+        training contribute 0 off the self-pair, and pairs involving a
+        padded position contribute 0.
         """
         idx = np.asarray(items, dtype=np.intp)
         counts = self.item_count[idx].astype(np.float64)
-        pij = np.asarray(self.pairs[idx][:, idx].todense(), dtype=np.float64)
-        denom = np.outer(counts, counts)
-        base = np.zeros_like(pij)
-        np.divide(pij * pij, denom, out=base, where=denom > 0)
-        same = idx[:, None] == idx[None, :]
+        denom = counts[..., :, None] * counts[..., None, :]
+        base = np.zeros_like(window)
+        np.divide(window * window, denom, out=base, where=denom > 0)
+        same = (idx[..., :, None] == idx[..., None, :]) & (idx != 0)[..., None, :]
         base[same] = 1.0
         return base
 
@@ -363,14 +398,41 @@ def save_cooc(cooc: CoocStats, path: str) -> None:
 
 def load_cooc(path: str) -> CoocStats:
     try:
-        with np.load(path) as blob:
+        blob = np.load(path)
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise DataError(f"cooc {path}: not an .npz archive")
+        with blob:
             version = int(blob["format_version"])
             if version != COOC_FORMAT_VERSION:
                 raise DataError(f"cooc {path}: format version {version} != {COOC_FORMAT_VERSION}")
             item_count = blob["item_count"]
-            n = item_count.shape[0]
-            upper = sparse.coo_matrix(
-                (blob["pair_count"], (blob["pair_i"], blob["pair_j"])), shape=(n, n))
-    except OSError as exc:
+            pair_i, pair_j, pair_count = blob["pair_i"], blob["pair_j"], blob["pair_count"]
+    except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile,
+            zlib.error) as exc:
         raise DataError(f"cannot load cooc stats {path}: {exc}") from exc
+    _check_cooc_arrays(path, item_count, pair_i, pair_j, pair_count)
+    n = item_count.shape[0]
+    upper = sparse.coo_matrix((pair_count, (pair_i, pair_j)), shape=(n, n))
     return CoocStats(item_count, (upper + upper.T).tocsr())
+
+
+def _check_cooc_arrays(path, item_count, pair_i, pair_j, pair_count) -> None:
+    """Integer count vectors of matching lengths, no negative count, and pair
+    indices that name real items (1..n_items; 0 is the padding id)."""
+    arrays = {"item_count": item_count, "pair_i": pair_i, "pair_j": pair_j,
+              "pair_count": pair_count}
+    for name, arr in arrays.items():
+        if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+            raise DataError(f"cooc {path}: {name} is not a 1-d integer array "
+                            f"(shape {arr.shape}, dtype {arr.dtype})")
+    if not pair_i.size == pair_j.size == pair_count.size:
+        raise DataError(f"cooc {path}: pair arrays differ in length "
+                        f"({pair_i.size}, {pair_j.size}, {pair_count.size})")
+    for name in ("item_count", "pair_count"):
+        if arrays[name].size and arrays[name].min() < 0:
+            raise DataError(f"cooc {path}: negative {name}")
+    n_items = item_count.size - 1
+    for name in ("pair_i", "pair_j"):
+        idx = arrays[name]
+        if idx.size and (idx.min() < 1 or idx.max() > n_items):
+            raise DataError(f"cooc {path}: {name} outside the catalog 1..{n_items}")

@@ -85,7 +85,9 @@ class Featurizer:
     co-occurrence row of each window.
 
     These depend only on item ids and global counts, never on parameters, so
-    per-user rows are cached across epochs.
+    each row's features are cached across epochs, keyed by the row's item
+    ids. Rows that miss the cache are featurized together in one batched
+    pass: one co-occurrence gather and one prefix-alignment call.
     """
 
     def __init__(self, cooc: CoocStats, max_len: int):
@@ -93,40 +95,55 @@ class Featurizer:
         self.max_len = max_len
         self._cache: dict = {}
 
-    def _row(self, items: tuple) -> tuple:
-        m = len(items)
-        cw = self.cooc.window(list(items))
-        cb = self.cooc.counting_base(list(items))
-        ah = np.zeros((m, m))
-        for q in range(1, m):
-            ah[q, :q + 1] = alpha_hat(cw[:q + 1, :q + 1])
-        return cb, cw[-1].copy(), ah, ah.max(axis=1)
+    def _compute(self, item_ids) -> tuple:
+        """Counting bases [b, L, L], last co-occurrence rows [b, L] and
+        prefix alignments [b, L, L] of a left-padded id block [b, L], zero
+        wherever a position is padded."""
+        win = self.cooc.window(item_ids)
+        cb = self.cooc.base_from_window(item_ids, win)
+        return cb, win[:, -1], alpha_hat(win, item_ids != 0)
 
-    def row_features(self, items, tag=None, user=None):
-        key = (tag, user) if tag is not None else None
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        out = self._row(tuple(items))
-        if key is not None:
-            self._cache[key] = out
-        return out
+    def row_features(self, items):
+        """(counting base, last co-occurrence row, alignments, alignment row
+        maxima) of one unpadded window of item ids. One padded position is
+        put in front, so a single item is a valid window too."""
+        ids = np.concatenate(([0], np.asarray(items, dtype=np.int64)))[None]
+        cb, cw, ah = self._compute(ids)
+        ah = ah[0, 1:, 1:]
+        return cb[0, 1:, 1:], cw[0, 1:], ah, ah.max(axis=1)
 
     def batch_features(self, batch: Batch, tag: str | None = "train") -> BatchFeatures:
-        b, L = batch.item_ids.shape
+        """Features of a batch; `tag=None` computes them without caching."""
+        cache = self._cache if tag is not None else {}
+        ids = batch.item_ids
+        b, L = ids.shape
+        lengths = batch.pad_mask.sum(axis=1)
+        keys = [ids[r, L - m:].astype(np.int64, copy=False).tobytes() if m else None
+                for r, m in enumerate(lengths)]
+        missed = {}
+        for r, key in enumerate(keys):
+            if key is not None and key not in cache:
+                missed.setdefault(key, r)
+        if missed:
+            rows = list(missed.values())
+            computed = self._compute(ids[rows])
+            for i, (key, r) in enumerate(missed.items()):
+                o = L - lengths[r]
+                cb, cw, a = (arr[i] for arr in computed)
+                a = a[o:, o:].copy()
+                cache[key] = (cb[o:, o:].copy(), cw[o:].copy(), a, a.max(axis=1))
+
         cnt = np.zeros((b, L, L))
         cwin = np.zeros((b, L))
         ah = np.zeros((b, L, L))
         amax = np.zeros((b, L))
         idx = np.arange(L)
         cnt[:, idx, idx] = 1.0  # pad block stays an identity in the correlation
-        for r in range(b):
-            mask = batch.pad_mask[r]
-            m = int(mask.sum())
-            if m == 0:
+        for r, key in enumerate(keys):
+            if key is None:
                 continue
-            o = L - m
-            items = batch.item_ids[r, o:]
-            cb, cw, a, am = self.row_features(items, tag, int(batch.user_ids[r]))
+            o = L - lengths[r]
+            cb, cw, a, am = cache[key]
             cnt[r, o:, o:] = cb
             cwin[r, o:] = cw
             ah[r, o:, o:] = a

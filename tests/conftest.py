@@ -77,7 +77,7 @@ def run_head(hp, x, mode="location", active=("I",), cooc_window=None,
     c = np.zeros((n, n)) if cooc_window is None else np.asarray(cooc_window, dtype=float)
     ahat = np.zeros((n, n))
     for q in range(1, n):
-        ahat[q, :q + 1] = attention.alpha_hat(c[:q + 1, :q + 1])
+        ahat[q, :q + 1] = attention.alpha_hat(c[:q + 1, :q + 1])[-1]
     cnt = np.eye(n) if cnt_base is None else np.asarray(cnt_base, dtype=float)
     u = np.zeros(d) if u is None else np.asarray(u, dtype=np.float64)
     valid = np.ones((1, n), dtype=bool)

@@ -1,7 +1,9 @@
-"""Term-by-term reference implementations of the paper's kernel formulas.
+"""Term-by-term reference implementations of the paper's kernel formulas
+and of the featurizer.
 
 The package computes every kernel as a batched Gram matrix over whole
-windows. These scalar versions follow the paper one pair at a time, with the
+windows, and featurizes a whole batch of windows at once. These versions
+follow the paper one pair, one window or one prefix at a time, with the
 omega_i * omega_j scale factors written out, and exist only for the tests to
 compare the batched code against.
 """
@@ -82,3 +84,52 @@ def window_correlation(items, x, u_s, w_user_mod, w_mix, b_mix, cooc, active,
                 corr = gram[a, b] / np.sqrt(gram[a, a] * gram[b, b])
                 psi[a, b] = min(max(corr, -bound), bound) / (1.0 + jitter)
     return psi
+
+
+def alpha_hat_oracle(c):
+    """Two-hop alignment of every position of a window with its last one,
+    term by term: the diagonal is replaced row-wise by the mean of the other
+    entries, then row j is dotted with the final column."""
+    c = np.asarray(c, dtype=np.float64)
+    n = c.shape[0]
+    mod = c.copy()
+    for k in range(n):
+        mod[k, k] = (c[k].sum() - c[k, k]) / (n - 1)
+    out = np.zeros(n)
+    for j in range(n):
+        for k in range(n):
+            out[j] += mod[j, k] * mod[k, n - 1]
+    return out
+
+
+def cooc_window(items, cooc):
+    """Dense co-occurrence window of one sequence from its own sparse gather;
+    the diagonal holds the occurrence counts."""
+    idx = np.asarray(items, dtype=np.intp)
+    dense = np.asarray(cooc.pairs[idx][:, idx].todense(), dtype=np.float64)
+    np.fill_diagonal(dense, cooc.item_count[idx])
+    return dense
+
+
+def counting_base(items, cooc):
+    """P_ij^2 / (P_i P_j) over one window; 1 on self-pairs, 0 for unseen items."""
+    idx = np.asarray(items, dtype=np.intp)
+    counts = cooc.item_count[idx].astype(np.float64)
+    pij = np.asarray(cooc.pairs[idx][:, idx].todense(), dtype=np.float64)
+    denom = np.outer(counts, counts)
+    base = np.zeros_like(pij)
+    np.divide(pij * pij, denom, out=base, where=denom > 0)
+    base[idx[:, None] == idx[None, :]] = 1.0
+    return base
+
+
+def row_features(items, cooc):
+    """(counting base, last co-occurrence row, alignments, alignment row
+    maxima) of one unpadded window: one gather per window and one alignment
+    per prefix, row q holding the alignment over the prefix ending at q."""
+    m = len(items)
+    cw = cooc_window(items, cooc)
+    ah = np.zeros((m, m))
+    for q in range(1, m):
+        ah[q, :q + 1] = alpha_hat_oracle(cw[:q + 1, :q + 1])
+    return counting_base(items, cooc), cw[-1].copy(), ah, ah.max(axis=1)

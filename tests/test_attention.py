@@ -7,6 +7,7 @@ from skewrec.errors import DataError
 from skewrec.nnops import bilinear_scores
 
 import oracles
+from oracles import alpha_hat_oracle
 from conftest import make_cooc, random_head, run_head
 
 LN2 = float(np.log(2.0))
@@ -54,27 +55,13 @@ class TestLocationXi:
         assert xi.shape == (2, 50, 50)
 
 
-def alpha_hat_oracle(c):
-    """Term-by-term evaluation of the two-hop alignment with the diagonal rule."""
-    c = np.asarray(c, dtype=np.float64)
-    n = c.shape[0]
-    mod = c.copy()
-    for k in range(n):
-        mod[k, k] = (c[k].sum() - c[k, k]) / (n - 1)
-    out = np.zeros(n)
-    for j in range(n):
-        for k in range(n):
-            out[j] += mod[j, k] * mod[k, n - 1]
-    return out
-
-
 class TestAlphaHat:
     def test_zero_matrix(self):
         assert not attention.alpha_hat(np.zeros((4, 4))).any()
 
     def test_hand_case(self):
         c = np.array([[9.0, 2.0, 1.0], [2.0, 9.0, 3.0], [1.0, 3.0, 9.0]])
-        got = attention.alpha_hat(c)
+        got = attention.alpha_hat(c)[-1]
         np.testing.assert_allclose(got, [9.5, 15.5, 14.0], rtol=1e-12)
 
     def test_brute_force_oracle(self):
@@ -83,8 +70,40 @@ class TestAlphaHat:
             n = int(rng.integers(2, 9))
             c = rng.integers(0, 10, size=(n, n)).astype(float)
             c = c + c.T
-            np.testing.assert_allclose(attention.alpha_hat(c), alpha_hat_oracle(c),
+            np.testing.assert_allclose(attention.alpha_hat(c)[-1], alpha_hat_oracle(c),
                                        rtol=1e-12)
+
+    def test_every_prefix_row_matches_oracle(self):
+        """Row q is the alignment of the prefix ending at q; it is zero after
+        q and on the first row."""
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            c = rng.integers(0, 10, size=(n, n)).astype(float)
+            c = c + c.T
+            got = attention.alpha_hat(c)
+            assert not got[0].any()
+            for q in range(1, n):
+                np.testing.assert_allclose(got[q, :q + 1],
+                                           alpha_hat_oracle(c[:q + 1, :q + 1]), rtol=1e-12)
+                assert not got[q, q + 1:].any()
+
+    def test_left_padded_block_matches_unpadded_windows(self):
+        rng = np.random.default_rng(9)
+        n = 6
+        c = np.zeros((4, n, n))
+        valid = np.zeros((4, n), dtype=bool)
+        for r, m in enumerate((0, 1, 3, 6)):
+            w = rng.integers(0, 10, size=(m, m)).astype(float)
+            c[r, n - m:, n - m:] = w + w.T
+            valid[r, n - m:] = True
+        got = attention.alpha_hat(c, valid)
+        for r, m in enumerate((0, 1, 3, 6)):
+            o = n - m
+            assert not got[r, :o].any() and not got[r, :, :o].any()
+            if m >= 2:
+                np.testing.assert_allclose(got[r, o:, o:],
+                                           attention.alpha_hat(c[r, o:, o:]), rtol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
@@ -93,12 +112,52 @@ class TestAlphaHat:
         c = c + c.T
         perm = np.concatenate([rng.permutation(n - 1), [n - 1]])
         cp = c[np.ix_(perm, perm)]
-        np.testing.assert_allclose(attention.alpha_hat(cp),
-                                   attention.alpha_hat(c)[perm], rtol=1e-12)
+        np.testing.assert_allclose(attention.alpha_hat(cp)[-1],
+                                   attention.alpha_hat(c)[-1][perm], rtol=1e-12)
 
     def test_window_too_small(self):
         with pytest.raises(DataError):
             attention.alpha_hat(np.ones((1, 1)))
+
+
+def padded_batch(items, L, user=0):
+    """Single-sequence batch, left-padded to L."""
+    ids = np.zeros((1, L), dtype=np.int64)
+    ids[0, L - len(items):] = items
+    return corpus.Batch(item_ids=ids, targets=np.zeros_like(ids),
+                        negatives=np.zeros((1, L, 1), dtype=np.int64),
+                        user_ids=np.array([user]), pad_mask=ids != 0)
+
+
+class TestFeaturizerCache:
+    """The featurizer cache is keyed by a row's item ids, not by its tag and
+    user, so a new window for a known user is featurized afresh."""
+
+    FIELDS = ("cnt_base", "cooc_win", "ahat", "amax")
+
+    def _assert_fresh(self, cooc, feats, items, L):
+        fresh = model.Featurizer(cooc, L).batch_features(padded_batch(items, L), None)
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(feats, name), getattr(fresh, name))
+
+    def test_new_window_of_same_length_for_same_user(self):
+        _, _, cooc, feat = tiny_setup(n=6)
+        feat.batch_features(padded_batch([1, 2, 3, 4], 6), "train")
+        feats = feat.batch_features(padded_batch([5, 6, 7, 8], 6), "train")
+        self._assert_fresh(cooc, feats, [5, 6, 7, 8], 6)
+
+    def test_new_window_of_other_length_for_same_user(self):
+        _, _, cooc, feat = tiny_setup(n=6)
+        feat.batch_features(padded_batch([1, 2, 3, 4], 6), "train")
+        feats = feat.batch_features(padded_batch([5, 6, 7], 6), "train")
+        self._assert_fresh(cooc, feats, [5, 6, 7], 6)
+
+    def test_same_window_is_shared_across_users_and_tags(self):
+        _, _, cooc, feat = tiny_setup(n=6)
+        feat.batch_features(padded_batch([1, 2, 3], 6, user=0), "train")
+        feats = feat.batch_features(padded_batch([1, 2, 3], 6, user=3), "valid")
+        assert len(feat._cache) == 1
+        self._assert_fresh(cooc, feats, [1, 2, 3], 6)
 
 
 class TestShapeAlpha:
@@ -121,7 +180,7 @@ class TestShapeAlpha:
         hp.wq_sh[:] = 0.0
         hp.wk_sh[:] = 0.0
         _, hc = run_head(hp, x, "mean_shift", cooc_window=c)
-        ah = attention.alpha_hat(c)
+        ah = attention.alpha_hat(c)[-1]
         assert hc["alpha"][0, -1, np.argmax(ah)] == pytest.approx(LN2, rel=1e-12)
 
     def test_nonnegative(self):

@@ -168,6 +168,46 @@ class TestFailurePaths:
                          "--out-dir", str(tmp_path / "ins"), "--user-id", "0"]) == 2
 
 
+def _tamper_cooc(path, case):
+    """Rewrite a prepared cooc.npz into one kind of corrupt file."""
+    if case == "garbage":
+        path.write_bytes(b"\x00 not an npz archive \xff" * 8)
+        return
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:100])
+        return
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    if case == "pair_past_catalog":
+        arrays["pair_j"][0] = arrays["item_count"].size + 4
+    elif case == "pair_is_padding":
+        arrays["pair_i"][0] = 0
+    elif case == "missing_pair_count":
+        del arrays["pair_count"]
+    elif case == "negative_pair_count":
+        arrays["pair_count"][0] = -1
+    elif case == "negative_item_count":
+        arrays["item_count"][1] = -3
+    elif case == "more_items_than_dataset":
+        arrays["item_count"] = np.append(arrays["item_count"], 0)
+    np.savez(path, **arrays)
+
+
+class TestCorruptCooc:
+    @pytest.mark.parametrize("case", [
+        "garbage", "truncated", "pair_past_catalog", "pair_is_padding",
+        "missing_pair_count", "negative_pair_count", "negative_item_count",
+        "more_items_than_dataset"])
+    def test_train_exits_2(self, prepared, tmp_path, capsys, case):
+        path = tmp_path / "data" / "cooc.npz"
+        _tamper_cooc(path, case)
+        code = cli.main(["train", "--data-dir", prepared, "--out-dir",
+                         str(tmp_path / "run"), "--dim", "8", "--blocks", "1",
+                         "--max-epochs", "1", "--batch-size", "16"])
+        assert code == 2
+        assert "cooc" in capsys.readouterr().err
+
+
 class TestGradcheckCommand:
     def test_exit_zero_and_report(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")

@@ -6,6 +6,7 @@ import pytest
 from skewrec import corpus
 from skewrec.errors import DataError
 
+import oracles
 from conftest import build_corpus, synth_log_lines
 
 
@@ -184,6 +185,25 @@ class TestCooc:
         assert base[0, 0] == 1.0
         assert base[0, 3] == 0.0  # item 4 unseen in training
         assert base[3, 3] == 1.0  # unseen self-pair keeps a positive diagonal
+
+    def test_block_of_padded_windows(self):
+        """A left-padded id block gives, per row, the unpadded window and its
+        counting base, with zeros at every padded pair."""
+        split = corpus.SplitDataset(
+            train=[[1, 2], [1, 2], [1, 3], [2, 3, 4]], valid_target=[1] * 4,
+            test_target=[2] * 4, user_ids=[0, 1, 2, 3], n_items=5, max_len=10,
+            item_ids=[1, 2, 3, 4, 5])
+        cooc = corpus.build_cooc(split)
+        block = np.array([[0, 0, 1, 2], [0, 3, 3, 5], [2, 4, 1, 3], [0, 0, 0, 0]])
+        win, base = cooc.window(block), cooc.counting_base(block)
+        for r, row in enumerate(block):
+            o = int((row == 0).sum())
+            if o < 4:
+                np.testing.assert_array_equal(win[r, o:, o:], cooc.window(row[o:]))
+                np.testing.assert_array_equal(base[r, o:, o:], cooc.counting_base(row[o:]))
+                np.testing.assert_array_equal(win[r, o:, o:], oracles.cooc_window(row[o:], cooc))
+            for arr in (win, base):
+                assert not arr[r, :o].any() and not arr[r, :, :o].any()
 
 
 class TestNegatives:

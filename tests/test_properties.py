@@ -1,6 +1,6 @@
 """Property tests: the batched forward against the per-window oracle over
 random left-padding, sequence lengths, kernel subsets, stochastic rows,
-scale caps and dtypes."""
+scale caps and dtypes, and the batched featurizer against the per-row one."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -96,3 +96,51 @@ def test_float32_forward_tracks_float64(case):
     f32, _ = model.forward(params32, cfg32, batch, feats, "stochastic", noise=noise32)
     assert f32.dtype == np.float32
     np.testing.assert_allclose(f32, f64, rtol=0, atol=DTYPE_ATOL)
+
+
+# items N_ITEMS + 1 and N_ITEMS + 2 never occur in training: zero counts
+COOC_UNSEEN = corpus.build_cooc(corpus.SplitDataset(
+    train=_TRAIN, valid_target=[1] * 8, test_target=[1] * 8, user_ids=list(range(8)),
+    n_items=N_ITEMS + 2, max_len=10, item_ids=list(range(1, N_ITEMS + 3))))
+
+
+@st.composite
+def id_blocks(draw):
+    L = draw(st.integers(3, 8))
+    b = draw(st.integers(1, 4))
+    # a narrow id range makes repeated items within a window common
+    top = draw(st.sampled_from((3, N_ITEMS + 2)))
+    ids = np.zeros((b, L), dtype=np.int64)
+    for r in range(b):
+        m = draw(st.integers(0, L))
+        ids[r, L - m:] = draw(st.lists(st.integers(1, top), min_size=m, max_size=m))
+    return ids
+
+
+@settings(max_examples=80, deadline=None)
+@given(ids=id_blocks())
+def test_batch_features_match_per_row_oracle(ids):
+    b, L = ids.shape
+    batch = corpus.Batch(item_ids=ids, targets=np.zeros_like(ids),
+                         negatives=np.zeros((b, L, 1), dtype=np.int64),
+                         user_ids=np.zeros(b, dtype=np.int64), pad_mask=ids != 0)
+    cnt = np.zeros((b, L, L))
+    cnt[:, np.arange(L), np.arange(L)] = 1.0
+    expect = [cnt, np.zeros((b, L)), np.zeros((b, L, L)), np.zeros((b, L))]
+    feat = model.Featurizer(COOC_UNSEEN, L)
+    for r in range(b):
+        o = L - int((ids[r] != 0).sum())
+        if o == L:
+            continue
+        row = oracles.row_features(ids[r, o:], COOC_UNSEEN)
+        for got, ref in zip(feat.row_features(ids[r, o:]), row):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        cb, cw, ah, am = row
+        expect[0][r, o:, o:] = cb
+        expect[1][r, o:] = cw
+        expect[2][r, o:, o:] = ah
+        expect[3][r, o:] = am
+    for tag in (None, "train", "train"):  # uncached, cold, then from the cache
+        feats = feat.batch_features(batch, tag)
+        for got, ref in zip((feats.cnt_base, feats.cooc_win, feats.ahat, feats.amax), expect):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
