@@ -228,7 +228,7 @@ def _head_backward(hp: HeadParams, cache, d_head_out, grads: HeadParams,
         grads.wk_om += d_wk_om
         d_x += dx_om
         # correlated-noise path: Y = eps @ L^T
-        d_chol = np.tril(np.einsum("bqj,bqk->bjk", d_y, eps).astype(np.float64))
+        d_chol = (np.swapaxes(d_y, -1, -2) @ eps).astype(np.float64)
         d_psi = cholesky_backward(cache["chol"], d_chol)
 
     if d_psi_extra is not None:
@@ -251,14 +251,12 @@ def _head_backward(hp: HeadParams, cache, d_head_out, grads: HeadParams,
                 dxh, d_wvec = kernels.user_gram_backward(d_gram, cache["mod"], xhat,
                                                          cache["w_vec"])
                 d_xhat += dxh
-                grads.w_user_mod += np.einsum("bj,bk->jk", d_wvec,
-                                              u.astype(np.float64, copy=False))
+                grads.w_user_mod += d_wvec.T @ u.astype(np.float64, copy=False)
                 d_u += (d_wvec @ hp.w_user_mod.astype(np.float64)).astype(u.dtype)
         # mixture softmax over the active subset
         idx = [kernels.KERNEL_ORDER.index(a) for a in opts.active]
         d_logits = r * (d_r - np.sum(d_r * r, axis=-1, keepdims=True))
-        grads.w_mix[:, idx] += np.einsum("bd,ba->da", u.astype(np.float64, copy=False),
-                                         d_logits)
+        grads.w_mix[:, idx] += u.astype(np.float64, copy=False).T @ d_logits
         grads.b_mix[idx] += d_logits.sum(axis=0)
         d_u += (d_logits @ hp.w_mix[:, idx].T.astype(np.float64)).astype(u.dtype)
         d_x += l2_normalize_backward(d_xhat, xhat, cache["xnorm"]).astype(x.dtype)

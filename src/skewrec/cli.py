@@ -117,6 +117,11 @@ def _load_prepared(data_dir: str):
     if cooc.n_items != split.n_items:
         raise DataError(f"{data_dir}: cooc.npz counts {cooc.n_items} items but "
                         f"dataset.json has {split.n_items}")
+    # each user adds at most 1 to a pair count
+    top = int(cooc.pairs.max())
+    if top > split.n_users:
+        raise DataError(f"{data_dir}: cooc.npz has a pair count of {top}, above "
+                        f"dataset.json's {split.n_users} users")
     return split, cooc
 
 
@@ -188,9 +193,10 @@ def cmd_eval(args) -> int:
     out_dir = _out_path(args.out_dir) if args.out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    feat = model.Featurizer(cooc, cfg.max_len)  # seeds differ only in negatives
     for seed in seeds:
         metrics = evaluation.evaluate(ckpt.params, cfg, split, cooc, args.split,
-                                      seed=seed)
+                                      seed=seed, featurizer=feat)
         payload = evaluation.metrics_payload(metrics, args.data_dir, cfg.eval_mode, seed)
         records.append(payload)
         per_seed_hit10.append(metrics.hit[10])

@@ -417,8 +417,9 @@ def load_cooc(path: str) -> CoocStats:
 
 
 def _check_cooc_arrays(path, item_count, pair_i, pair_j, pair_count) -> None:
-    """Integer count vectors of matching lengths, no negative count, and pair
-    indices that name real items (1..n_items; 0 is the padding id)."""
+    """Integer count vectors of matching lengths, no negative count, pair
+    indices that name real items (1..n_items; 0 is the padding id), and no
+    pair counted more often than either of its items."""
     arrays = {"item_count": item_count, "pair_i": pair_i, "pair_j": pair_j,
               "pair_count": pair_count}
     for name, arr in arrays.items():
@@ -436,3 +437,13 @@ def _check_cooc_arrays(path, item_count, pair_i, pair_j, pair_count) -> None:
         idx = arrays[name]
         if idx.size and (idx.min() < 1 or idx.max() > n_items):
             raise DataError(f"cooc {path}: {name} outside the catalog 1..{n_items}")
+    # a user holding both items adds 1 to the pair and at least 1 to each
+    # item's count; repeated entries of one pair add up when loaded
+    ends = (np.minimum(pair_i, pair_j), np.maximum(pair_i, pair_j))
+    pairs = sparse.coo_matrix((pair_count, ends), shape=(n_items + 1,) * 2)
+    pairs.sum_duplicates()
+    over = pairs.data > np.minimum(item_count[pairs.row], item_count[pairs.col])
+    if over.any():
+        i, j, c = (int(a[np.argmax(over)]) for a in (pairs.row, pairs.col, pairs.data))
+        raise DataError(f"cooc {path}: pair ({i}, {j}) counts {c}, above its items' "
+                        f"counts ({item_count[i]}, {item_count[j]})")

@@ -85,7 +85,9 @@ def normalize_correlation(psi_tilde, jitter, valid=None):
     idx = np.arange(psi.shape[-1])
     psi[..., idx, idx] = 1.0
     if valid is not None:
+        # the output is constant at padded pairs, so no gradient flows there
         pair_valid = valid[..., :, None] & valid[..., None, :]
+        pass_mask &= pair_valid
         psi = np.where(pair_valid, psi, 0.0)
         psi[..., idx, idx] = 1.0
     cache = (psi_hat, droot, pass_mask)

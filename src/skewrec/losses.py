@@ -45,34 +45,40 @@ def prediction_loss(s_pos, s_neg, valid):
 
 
 def cooc_rank_order(counts):
-    """Target permutation: descending co-occurrence, ties by ascending index."""
+    """Target permutation of each list along the last axis: descending
+    co-occurrence, ties by ascending index."""
     counts = np.asarray(counts)
-    return np.lexsort((np.arange(counts.shape[0]), -counts))
+    idx = np.broadcast_to(np.arange(counts.shape[-1]), counts.shape)
+    return np.lexsort((idx, -counts), axis=-1)
 
 
-def listmle_loss(scores, counts):
-    """ListMLE of the co-occurrence ordering under `scores`.
+def listmle_loss(scores, counts, valid=None):
+    """ListMLE of the co-occurrence ordering under `scores`, for one list or
+    a batch of lists along the last axis.
 
-    Returns (loss, d_scores). Lists of fewer than 2 entries contribute 0.
+    scores, counts: [..., m]; valid: [..., m] mask of the entries each list
+    holds (all when None). Returns (loss summed over the lists, d_scores
+    [..., m]); a list with fewer than 2 valid entries contributes 0, and
+    entries outside `valid` get zero gradient.
+
+    Per list, with s sorted into the target order, the suffix log-sum-exp
+    lse_i = log sum_{l >= i} exp(s_l) gives the loss sum_i (lse_i - s_i) and
+    the gradient d/ds_l = exp(s_l) sum_{i <= l} exp(-lse_i) - 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    m = scores.shape[0]
-    if m < 2:
-        return 0.0, np.zeros_like(scores)
+    valid = np.ones(scores.shape, bool) if valid is None else \
+        np.broadcast_to(np.asarray(valid, bool), scores.shape)
     order = cooc_rank_order(counts)
-    s = scores[order]
-    # suffix log-sum-exp: lse[i] = log sum_{l >= i} exp(s_l)
-    lse = np.empty(m)
-    lse[-1] = s[-1]
-    for i in range(m - 2, -1, -1):
-        lse[i] = np.logaddexp(s[i], lse[i + 1])
-    loss = float(np.sum(lse - s))
-    # d/ds_l = sum_{m' <= l} exp(s_l - lse_{m'}) - 1
-    expo = np.exp(s[None, :] - lse[:, None])
-    lower = np.tril(np.ones((m, m)))
-    grad_sorted = (expo * lower.T).sum(axis=0) - 1.0
-    grad = np.zeros_like(scores)
-    grad[order] = grad_sorted
+    ok = np.take_along_axis(valid, order, axis=-1)
+    # an entry outside `valid` holds -inf in both sums, so it drops out of
+    # them wherever the sort puts it
+    s = np.where(ok, np.take_along_axis(scores, order, axis=-1), -np.inf)
+    lse = np.logaddexp.accumulate(s[..., ::-1], axis=-1)[..., ::-1]
+    loss = float(np.sum(np.where(ok, lse, 0.0) - np.where(ok, s, 0.0)))
+    prefix = np.logaddexp.accumulate(np.where(ok, -lse, -np.inf), axis=-1)
+    grad_sorted = np.where(ok, np.exp(s + prefix) - 1.0, 0.0)
+    grad = np.empty_like(scores)
+    np.put_along_axis(grad, order, grad_sorted, axis=-1)
     return loss, grad
 
 

@@ -197,7 +197,7 @@ def _block_forward(bp: BlockParams, opts, cfg, x_in, u, feats, valid, attn_mask,
 
 
 def _block_backward(bp: BlockParams, opts, cache, d_out, gblk: BlockParams,
-                    valid, d_psi_seeds=None):
+                    d_psi_seeds=None):
     x_in = cache["x_in"]
     flat = lambda t: t.reshape(-1, t.shape[-1])
 
@@ -223,13 +223,10 @@ def _block_backward(bp: BlockParams, opts, cache, d_out, gblk: BlockParams,
     d_concat = d_proj @ bp.w_out.T
 
     dh = d_concat.shape[-1] // len(bp.heads)
-    pair_valid = (valid[:, :, None] & valid[:, None, :])
     d_u = None
     for h, hp in enumerate(bp.heads):
         d_ho = d_concat[..., h * dh:(h + 1) * dh]
-        seed = None
-        if d_psi_seeds is not None and d_psi_seeds[h] is not None:
-            seed = np.where(pair_valid, d_psi_seeds[h], 0.0)
+        seed = d_psi_seeds[h] if d_psi_seeds is not None else None
         dx_h, du_h = _head_backward(hp, cache["head_caches"][h], d_ho,
                                     gblk.heads[h], opts, d_psi_extra=seed)
         d_x += dx_h
@@ -282,13 +279,12 @@ def backward(params: ModelParams, cfg: TrainConfig, cache, d_f,
     """Backward through blocks and embeddings; returns a grads ModelParams."""
     grads = zeros_like_params(params)
     opts = cache["opts"]
-    valid = cache["valid"]
     d_x = d_f
     d_u_total = None
     for bi in range(len(params.blocks) - 1, -1, -1):
         seeds = d_psi_seeds[bi] if d_psi_seeds is not None else None
         d_x, d_u = _block_backward(params.blocks[bi], opts, cache["block_caches"][bi],
-                                   d_x, grads.blocks[bi], valid, seeds)
+                                   d_x, grads.blocks[bi], seeds)
         d_u_total = d_u if d_u_total is None else d_u_total + d_u
     ids = cache["ids"]
     scatter_rows(grads.item_emb, ids, d_x)
@@ -346,30 +342,27 @@ def training_step_loss(params: ModelParams, cfg: TrainConfig, batch: Batch,
 
 def _rank_loss(params, cfg, cache, batch, feats, want_grads):
     """ListMLE on the final valid row of every correlation matrix, averaged
-    over (sequence, block, head); returns (mean loss, psi gradient seeds)."""
+    over (sequence, block, head); returns (mean loss, psi gradient seeds).
+
+    Row L-1 of psi ranks the sequence's earlier valid positions, so each
+    (block, head) is one batched call over the batch's lists."""
     valid = cache["valid"]
     b, L = batch.item_ids.shape
     nb, nh = len(params.blocks), cfg.heads
-    seeds = [[np.zeros((b, L, L)) for _ in range(nh)] for _ in range(nb)] \
-        if want_grads else None
+    seeds = [[None] * nh for _ in range(nb)] if want_grads else None
     total = 0.0
     denom = b * nb * nh
     lam_scale = cfg.lambda_r / denom
     for bi in range(nb):
         for h in range(nh):
-            hc = cache["block_caches"][bi]["head_caches"][h]
-            psi = hc["psi"]
-            for r in range(b):
-                m = int(valid[r].sum())
-                if m < 2:
-                    continue
-                q = L - 1
-                cols = slice(L - m, q)
-                loss_r, grad_r = losses.listmle_loss(psi[r, q, cols],
-                                                     feats.cooc_win[r, cols])
-                total += loss_r
-                if want_grads:
-                    seeds[bi][h][r, q, cols] = lam_scale * grad_r
+            psi = cache["block_caches"][bi]["head_caches"][h]["psi"]
+            loss, grad = losses.listmle_loss(psi[:, L - 1, :L - 1], feats.cooc_win[:, :L - 1],
+                                             valid[:, :L - 1])
+            total += loss
+            if want_grads:
+                seed = np.zeros((b, L, L))
+                seed[:, L - 1, :L - 1] = lam_scale * grad
+                seeds[bi][h] = seed
     return total / denom, seeds
 
 

@@ -8,6 +8,7 @@ gradients with respect to the inputs.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.special import expit
 
 LN_EPS = 1e-8
@@ -19,11 +20,8 @@ def sigmoid(x):
 
 
 def softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def log_sigmoid(x):
-    return -softplus(-x)
+    """log(1 + exp(x)) in the dtype of x, without overflow for large |x|."""
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def l2_normalize(x, axis=-1, eps=1e-12):
@@ -89,14 +87,23 @@ def cholesky_backward(chol, d_chol):
     symmetric matrix A, given the gradient with respect to lower-triangular L.
 
     Uses the standard reverse-mode identity: with P the lower triangle of
-    L^T dL with halved diagonal, dA = sym(L^{-T} P L^{-1}).
+    L^T dL with halved diagonal, dA = sym(L^{-T} P L^{-1}). That triangle
+    reads only the lower triangle of dL, so the upper one is ignored. L^{-1}
+    is formed once per matrix by LAPACK's triangular inverse, so the rest is
+    two batched matrix products.
     """
-    lt = np.swapaxes(chol, -1, -2)
-    p = np.tril(lt @ d_chol)
-    idx = np.arange(chol.shape[-1])
-    p[..., idx, idx] *= 0.5
-    w = np.linalg.solve(lt, p)            # L^{-T} P
-    g = np.swapaxes(np.linalg.solve(lt, np.swapaxes(w, -1, -2)), -1, -2)  # W L^{-1}
+    n = chol.shape[-1]
+    half_tril = np.tril(np.ones((n, n))) - 0.5 * np.eye(n)
+    p = (np.swapaxes(chol, -1, -2) @ d_chol) * half_tril
+    trtri, = get_lapack_funcs(("trtri",), (chol,))
+    flat = chol.reshape(-1, n, n)
+    inv = np.empty_like(flat)
+    for i, mat in enumerate(flat):
+        inv[i], info = trtri(mat, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular Cholesky factor (trtri info {info})")
+    inv = inv.reshape(chol.shape)
+    g = np.swapaxes(inv, -1, -2) @ p @ inv
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 

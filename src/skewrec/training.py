@@ -244,13 +244,14 @@ GRADCHECK_GROUPS = {
 
 
 def gradcheck_config() -> TrainConfig:
-    return TrainConfig(batch_size=1, dim=8, blocks=1, heads=1, dropout=0.0,
+    return TrainConfig(batch_size=2, dim=8, blocks=1, heads=1, dropout=0.0,
                        lr=0.001, lambda_r=0.1, max_len=5, k_neg_train=1,
                        max_epochs=1, seed=7, dtype="float64")
 
 
 def _gradcheck_fixture(cfg: TrainConfig, rng: np.random.Generator):
-    """Tiny deterministic instance touching every parameter tensor."""
+    """Tiny deterministic instance touching every parameter tensor: one
+    full row and one left-padded row, so padding is under the check too."""
     from . import corpus
 
     train_lists = [[1, 2, 3, 4, 5, 6], [1, 2, 3], [2, 3, 4], [4, 5, 6, 1]]
@@ -259,16 +260,17 @@ def _gradcheck_fixture(cfg: TrainConfig, rng: np.random.Generator):
                          n_items=6, max_len=cfg.max_len,
                          item_ids=list(range(1, 7)))
     cooc = corpus.build_cooc(split)
+    item_ids = np.array([[1, 2, 3, 4, 5], [0, 0, 4, 5, 6]])
     batch = Batch(
-        item_ids=np.array([[1, 2, 3, 4, 5]]),
-        targets=np.array([[2, 3, 4, 5, 6]]),
-        negatives=np.array([[[6], [6], [6], [6], [1]]]),
-        user_ids=np.array([0]),
-        pad_mask=np.ones((1, 5), dtype=bool))
+        item_ids=item_ids,
+        targets=np.array([[2, 3, 4, 5, 6], [0, 0, 5, 6, 1]]),
+        negatives=np.array([[[6], [6], [6], [6], [1]], [[0], [0], [2], [2], [3]]]),
+        user_ids=np.array([0, 3]),
+        pad_mask=item_ids != 0)
     feat = model.Featurizer(cooc, cfg.max_len)
     feats = feat.batch_features(batch, None)
     params = model.init_params(cfg, 6, 4, rng)
-    noise = model.make_noise(cfg, 1, np.random.default_rng(123))
+    noise = model.make_noise(cfg, len(item_ids), np.random.default_rng(123))
     return params, batch, feats, noise
 
 

@@ -1,11 +1,13 @@
-"""Term-by-term reference implementations of the paper's kernel formulas
-and of the featurizer.
+"""Term-by-term reference implementations of the paper's kernel formulas,
+of the featurizer and of the training step's numeric kernels.
 
 The package computes every kernel as a batched Gram matrix over whole
 windows, and featurizes a whole batch of windows at once. These versions
 follow the paper one pair, one window or one prefix at a time, with the
-omega_i * omega_j scale factors written out, and exist only for the tests to
-compare the batched code against.
+omega_i * omega_j scale factors written out. The last four are the plain
+forms of the softplus, the noise and Cholesky gradients and the ListMLE
+loss that the package computes in faster ways. All exist only for the tests
+to compare the production code against.
 """
 
 import numpy as np
@@ -133,3 +135,49 @@ def row_features(items, cooc):
     for q in range(1, m):
         ah[q, :q + 1] = alpha_hat_oracle(cw[:q + 1, :q + 1])
     return counting_base(items, cooc), cw[-1].copy(), ah, ah.max(axis=1)
+
+
+def softplus(x):
+    """log(1 + exp(x)) as numpy's two-argument log-sum-exp."""
+    return np.logaddexp(0.0, x)
+
+
+def noise_chol_grad(d_y, eps):
+    """Gradient of the correlated noise y = eps @ L^T with respect to the
+    lower-triangular L: sum over rows q of d_y[q, j] eps[q, k]."""
+    return np.tril(np.einsum("bqj,bqk->bjk", d_y, eps))
+
+
+def cholesky_backward(chol, d_chol):
+    """dA = sym(L^{-T} P L^{-1}) for A = L L^T, with P the lower triangle of
+    L^T dL with halved diagonal, through two general linear solves."""
+    lt = np.swapaxes(chol, -1, -2)
+    p = np.tril(lt @ d_chol)
+    idx = np.arange(chol.shape[-1])
+    p[..., idx, idx] *= 0.5
+    w = np.linalg.solve(lt, p)            # L^{-T} P
+    g = np.swapaxes(np.linalg.solve(lt, np.swapaxes(w, -1, -2)), -1, -2)  # W L^{-1}
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def listmle_loss(scores, counts):
+    """ListMLE of one list, position by position: target order by descending
+    count, ties by index; the suffix log-sum-exp built by a loop and the
+    gradient summed over an m x m matrix. Lists under 2 entries give 0."""
+    scores = np.asarray(scores, dtype=np.float64)
+    m = scores.shape[0]
+    if m < 2:
+        return 0.0, np.zeros_like(scores)
+    order = np.lexsort((np.arange(m), -np.asarray(counts)))
+    s = scores[order]
+    lse = np.empty(m)
+    lse[-1] = s[-1]
+    for i in range(m - 2, -1, -1):
+        lse[i] = np.logaddexp(s[i], lse[i + 1])
+    loss = float(np.sum(lse - s))
+    # d/ds_l = sum_{i <= l} exp(s_l - lse_i) - 1
+    expo = np.exp(s[None, :] - lse[:, None])
+    grad_sorted = (expo * np.tril(np.ones((m, m))).T).sum(axis=0) - 1.0
+    grad = np.zeros_like(scores)
+    grad[order] = grad_sorted
+    return loss, grad

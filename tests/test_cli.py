@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from skewrec import cli, model
+from skewrec import cli, corpus, model
 
 from conftest import synth_log_lines
 
@@ -88,6 +88,22 @@ class TestTrainEval:
         ranks = list(csv.reader(open(os.path.join(out_dir, "ranks_test_seed1.csv"))))
         assert ranks[0] == ["user", "rank"]
         assert os.path.exists(os.path.join(out_dir, "metrics_test.json"))
+
+    def test_eval_seeds_share_one_featurization(self, trained, prepared, monkeypatch, capsys):
+        """Seeds change only the sampled negatives, so three seeds gather the
+        co-occurrence windows exactly as often as one does."""
+        gathers = []
+        window = corpus.CoocStats.window
+        monkeypatch.setattr(corpus.CoocStats, "window",
+                            lambda self, ids: gathers.append(len(ids)) or window(self, ids))
+        ckpt = os.path.join(trained, "checkpoint.npz")
+        counts = []
+        for seeds in ("0", "0,1,2"):
+            gathers.clear()
+            assert cli.main(["eval", "--checkpoint", ckpt, "--data-dir", prepared,
+                             "--seeds", seeds]) == 0
+            counts.append(len(gathers))
+        assert counts[0] > 0 and counts[1] == counts[0]
 
     def test_missing_checkpoint_is_data_error(self, prepared, tmp_path):
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "no.npz"),
@@ -190,6 +206,21 @@ def _tamper_cooc(path, case):
         arrays["item_count"][1] = -3
     elif case == "more_items_than_dataset":
         arrays["item_count"] = np.append(arrays["item_count"], 0)
+    elif case == "pair_above_item_count":
+        i, j = arrays["pair_i"][0], arrays["pair_j"][0]
+        arrays["pair_count"][0] = min(arrays["item_count"][i], arrays["item_count"][j]) + 1
+    elif case == "repeated_pair_above_item_count":
+        # each entry is within its items' counts, their sum is not
+        i, j, c = arrays["pair_i"][0], arrays["pair_j"][0], arrays["pair_count"][0]
+        top = min(arrays["item_count"][i], arrays["item_count"][j])
+        for name, value in (("pair_i", i), ("pair_j", j), ("pair_count", top - c + 1)):
+            arrays[name] = np.append(arrays[name], value)
+    elif case == "pair_above_user_count":
+        # within both items' counts, but more users than the dataset holds
+        i, j = arrays["pair_i"][0], arrays["pair_j"][0]
+        n_users = len(json.loads((path.parent / "dataset.json").read_text())["user_ids"])
+        arrays["item_count"][[i, j]] = n_users + 1
+        arrays["pair_count"][0] = n_users + 1
     np.savez(path, **arrays)
 
 
@@ -197,7 +228,8 @@ class TestCorruptCooc:
     @pytest.mark.parametrize("case", [
         "garbage", "truncated", "pair_past_catalog", "pair_is_padding",
         "missing_pair_count", "negative_pair_count", "negative_item_count",
-        "more_items_than_dataset"])
+        "more_items_than_dataset", "pair_above_item_count", "repeated_pair_above_item_count",
+        "pair_above_user_count"])
     def test_train_exits_2(self, prepared, tmp_path, capsys, case):
         path = tmp_path / "data" / "cooc.npz"
         _tamper_cooc(path, case)
