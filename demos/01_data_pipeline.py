@@ -47,8 +47,9 @@ for u in range(split.n_users):
 cooc = corpus.build_cooc(split)
 print("\nco-occurrence over training portions (once per user per unordered pair):")
 print("  occurrence counts:", dict(enumerate(cooc.item_count)))
-pairs = [(i, j, cooc.pair(i, j)) for i in range(1, 5) for j in range(i + 1, 5)
-         if cooc.pair(i, j)]
+win = cooc.window(np.arange(1, 5))  # pair counts of items 1..4, counts on the diagonal
+pairs = [(i, j, int(win[i - 1, j - 1])) for i in range(1, 5) for j in range(i + 1, 5)
+         if win[i - 1, j - 1]]
 print("  nonzero pairs:", pairs)
 
 print("\none training batch (left-padded, targets shifted by one):")

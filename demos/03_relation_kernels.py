@@ -23,7 +23,7 @@ items = [1, 2, 3, 4]
 base = cooc.counting_base(items)
 print("counting kernel k_c(i,j) = w_i w_j P_ij^2 / (P_i P_j):")
 print(f"  P_1={cooc.item_count[1]}, P_2={cooc.item_count[2]}, "
-      f"P_12={cooc.pair(1, 2)}  ->  k_c(1,2) = {base[0, 1]:.4f}")
+      f"P_12={cooc.window([1, 2])[0, 1]:.0f}  ->  k_c(1,2) = {base[0, 1]:.4f}")
 print(f"  self-pair k_c(1,1) with w=2: {base[0, 0] * 2 * 2:.1f}")
 print("  base over the window [1, 2, 3, 4]:")
 print(np.round(base, 4))

@@ -292,7 +292,7 @@ def cmd_inspect(args) -> int:
     for bi, heads in enumerate(trace):
         for h, t in enumerate(heads):
             tag = f"block{bi}_head{h}"
-            _write_matrix_csv(os.path.join(out_dir, f"correlation_{tag}.csv"), t["psi"])
+            _write_matrix_csv(os.path.join(out_dir, f"psi_{tag}.csv"), t["psi"])
             attn_last = t["attn"][-1]
             rows = np.vstack([np.append(indicator, 0), attn_last])
             _write_matrix_csv(os.path.join(out_dir, f"attention_{tag}.csv"), rows)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -54,6 +55,23 @@ class TrainConfig:
                      "k_neg_train", "k_neg_eval", "max_epochs", "eval_every"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
+        if self.eval_samples < 1:
+            raise UsageError(f"eval_samples must be at least 1, got {self.eval_samples}")
+        if not 0.0 <= self.kernel_jitter < 1.0:
+            raise UsageError(f"kernel_jitter must be in [0, 1), got {self.kernel_jitter}")
+        if self.omega_cap is not None and not self.omega_cap > 0.0:
+            raise UsageError(f"omega_cap must be positive or null, got {self.omega_cap}")
+        if not self.lr > 0.0:
+            raise UsageError(f"lr must be positive, got {self.lr}")
+        if not 0.0 <= self.lambda_r < math.inf:
+            raise UsageError(f"lambda_r must be finite and non-negative, got {self.lambda_r}")
+        if not self.grad_clip >= 0.0:
+            raise UsageError(f"grad_clip must be non-negative (0 turns clipping off), "
+                             f"got {self.grad_clip}")
+        if self.patience < 0:
+            raise UsageError(f"patience must be non-negative, got {self.patience}")
+        if not 0.0 < self.lr_decay_factor <= 1.0:
+            raise UsageError(f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}")
         if self.max_len < 3:
             raise UsageError("max_len must be at least 3")
         if self.dim % self.heads != 0:

@@ -82,7 +82,7 @@ class CoocStats:
     """Global occurrence counts and per-user-pair co-occurrence counts.
 
     item_count[i] is the number of occurrences of item i over all training
-    sequences. pair(i, j) counts the users whose training sequence contains
+    sequences. pairs[i, j] counts the users whose training sequence contains
     both i and j (once per user, regardless of how often either item repeats).
     """
 
@@ -94,9 +94,6 @@ class CoocStats:
     @property
     def n_items(self) -> int:
         return self.item_count.shape[0] - 1
-
-    def pair(self, i: int, j: int) -> int:
-        return int(self.pairs[i, j])
 
     def window(self, items) -> np.ndarray:
         """Dense co-occurrence windows of one id sequence [n] or a block of

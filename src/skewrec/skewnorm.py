@@ -1,42 +1,34 @@
-"""Multivariate skew-normal distribution: density, the alpha -> delta
-transform, reparameterized sampling, and the analytic mean.
+"""The shape -> skew transform of the attention logits' skew-normal.
 
-Parameterization: location xi, positive per-coordinate scales omega,
-correlation matrix psi (so the covariance is diag(omega) psi diag(omega)),
-and shape vector alpha controlling skew. alpha = 0 recovers the multivariate
-normal. Sampling follows the additive representation
+`attention._head_forward` draws the logits of attention row q over its
+visible keys as
 
     z = xi + omega * (delta * |y0| + sqrt(1 - delta^2) * y),
 
-with y0 a scalar standard normal shared across coordinates, y ~ N(0, psi)
-drawn through the Cholesky factor, and delta = alpha / sqrt(1 + alpha^2).
-The draw is a smooth function of (xi, omega, delta, chol(psi)) given the
-noise, which is what training differentiates through.
+with y0 one standard normal shared by the row's keys, y ~ N(0, psi) drawn
+through the Cholesky factor of the latent correlation psi, and
+delta = alpha / sqrt(1 + alpha^2) per key. This is the additive
+construction of Azzalini & Dalla Valle (Biometrika 1996) with lambda = alpha.
+With Delta = diag(sqrt(1 - delta^2)) the draw follows
+
+    SN_k(xi, omega Omega_bar omega, alpha_star),
+    Omega_bar  = Delta (psi + lambda lambda^T) Delta,
+    alpha_star = Delta^{-1} psi^{-1} lambda / sqrt(1 + lambda^T psi^{-1} lambda),
+
+in the density parameterization of Azzalini & Capitanio (JRSS-B 1999), so
+psi is the correlation of the latent Gaussian, not of the logits. Its
+moments are
+
+    mean       xi + omega * delta * sqrt(2 / pi)   (the `mean_shift` mode),
+    covariance omega (Delta psi Delta + (1 - 2/pi) delta delta^T) omega.
+
+Each key's marginal is the univariate SN(xi_j, omega_j, alpha_j), and
+alpha = 0 gives N(xi, omega psi omega).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import ndtr
-
-from .errors import NumericalError
-
-
-@dataclass
-class MsnRowParams:
-    xi: np.ndarray     # [n] location
-    omega: np.ndarray  # [n] positive scales
-    psi: np.ndarray    # [n, n] correlation (unit diagonal, positive definite)
-    alpha: np.ndarray  # [n] shape
-
-
-@dataclass
-class MsnSample:
-    z: np.ndarray
-    y0: float          # shared skewing draw
-    y: np.ndarray      # correlated Gaussian draw, kept for replay
 
 
 def delta(alpha):
@@ -52,60 +44,3 @@ def delta(alpha):
     one = alpha.dtype.type(1.0)
     limit = np.nextafter(one, alpha.dtype.type(0.0))
     return np.clip(alpha / np.sqrt(one + alpha * alpha), -limit, limit)
-
-
-def density(x, params: MsnRowParams) -> float:
-    """2 phi_k(x; xi, Sigma) Phi(alpha^T omega^{-1} (x - xi))."""
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(params.xi, dtype=np.float64)
-    omega = np.asarray(params.omega, dtype=np.float64)
-    psi = np.asarray(params.psi, dtype=np.float64)
-    n = xi.shape[0]
-    sigma = psi * np.outer(omega, omega)
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular covariance in density evaluation") from exc
-    diff = x - xi
-    white = np.linalg.solve(chol, diff)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    log_phi = -0.5 * (n * np.log(2.0 * np.pi) + logdet + white @ white)
-    gate = ndtr(np.asarray(params.alpha, dtype=np.float64) @ (diff / omega))
-    return float(2.0 * np.exp(log_phi) * gate)
-
-
-def sample(params: MsnRowParams, rng: np.random.Generator) -> MsnSample:
-    """One reparameterized draw; bit-deterministic given the rng state."""
-    psi = np.asarray(params.psi, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(psi)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("correlation matrix is not positive definite") from exc
-    y0 = float(rng.standard_normal())
-    y = chol @ rng.standard_normal(psi.shape[0])
-    d = delta(params.alpha)
-    zhat = d * abs(y0) + np.sqrt(1.0 - d * d) * y
-    z = np.asarray(params.xi, dtype=np.float64) + np.asarray(params.omega, np.float64) * zhat
-    return MsnSample(z=z, y0=y0, y=y)
-
-
-def sample_many(params: MsnRowParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` reparameterized draws, [count, n]; one Cholesky, vectorized noise."""
-    psi = np.asarray(params.psi, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(psi)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("correlation matrix is not positive definite") from exc
-    y0 = rng.standard_normal(count)
-    y = rng.standard_normal((count, psi.shape[0])) @ chol.T
-    d = delta(params.alpha)
-    zhat = d[None, :] * np.abs(y0)[:, None] + np.sqrt(1.0 - d * d)[None, :] * y
-    return np.asarray(params.xi, np.float64)[None, :] + (
-        np.asarray(params.omega, np.float64)[None, :] * zhat)
-
-
-def mean_shift(params: MsnRowParams):
-    """Analytic mean of the draw: xi + omega * delta * sqrt(2/pi)."""
-    d = delta(params.alpha)
-    return np.asarray(params.xi, np.float64) + (
-        np.asarray(params.omega, np.float64) * d * np.sqrt(2.0 / np.pi))

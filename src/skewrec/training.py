@@ -210,23 +210,6 @@ def _dump_bad_batch(batch: Batch, log_path: str | None) -> None:
         pass
 
 
-def training_hit_at_1(params: model.ModelParams, cfg: TrainConfig,
-                      split: SplitDataset, cooc: CoocStats) -> float:
-    """Fraction of training positions whose true next item ranks first over
-    the full catalog (deterministic location forward)."""
-    feat = model.Featurizer(cooc, cfg.max_len)
-    rng = np.random.default_rng(0)
-    hits = []
-    for batch in make_batches(split, cfg.batch_size, cfg.max_len, 1, rng):
-        feats = feat.batch_features(batch, "train")
-        f, _ = model.forward(params, cfg, batch, feats, "location")
-        scores = f @ params.item_emb[1:].T  # [B, L, n_items]
-        pred = scores.argmax(axis=-1) + 1
-        valid = batch.targets != 0
-        hits.append((pred == batch.targets)[valid])
-    return float(np.concatenate(hits).mean())
-
-
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 # ---------------------------------------------------------------------------

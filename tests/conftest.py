@@ -87,3 +87,56 @@ def run_head(hp, x, mode="location", active=("I",), cooc_window=None,
         attn_mask, valid, mode, attention.AttnOpts(active=active, dtype=np.float64, **opts),
         rng=rng, want_psi=want_psi)
     return out[0], cache
+
+
+def repeat_head(hp, x, u, feats, valid, reps, mode, rng=None):
+    """One C+I+U head of one feature batch, stacked `reps` times along the
+    batch axis and run through `attention._head_forward` in float64 with the
+    causal, padding-aware mask of `model.forward`; returns the head cache.
+
+    In `stochastic` mode every copy draws its own noise, so cache["z"][:, q]
+    holds `reps` independent draws of row q's logits.
+    """
+    L = valid.shape[1]
+    attn_mask = valid[:, None, :] & valid[:, :, None] & np.tril(np.ones((L, L), bool))[None]
+    rep = lambda a: np.repeat(np.asarray(a), reps, axis=0)
+    _, cache = attention._head_forward(
+        hp, rep(x), rep(u), rep(feats.cnt_base), rep(feats.ahat), rep(feats.amax),
+        rep(valid), rep(attn_mask), rep(valid), mode,
+        attention.AttnOpts(active=("C", "I", "U"), dtype=np.float64), rng=rng)
+    return cache
+
+
+def law_head(xi, omega, alpha, psi=None, rows=1, mode="stochastic", rng=None,
+             eps=None, y0=None, omega_cap=None):
+    """Drive `attention._head_forward` so that the logits of every row follow
+    the skew-normal with the given per-key location xi, scale omega, shape
+    alpha and latent correlation psi (identity when omitted); returns the head
+    cache.
+
+    The n = len(xi) inputs are the identity, so each bilinear head returns its
+    query weights, set to the wanted xi, softplus^-1(omega) and softplus^-1(1)
+    in every row; the counting kernel is the only one and its base is psi,
+    which jitter 0 passes through; the alignments are alpha over row maxima
+    1. Every row q of each of the `rows` sequences draws its own noise over
+    all n keys, so cache["z"].reshape(-1, n) holds rows * n independent draws.
+    """
+    xi, omega, alpha = (np.asarray(a, dtype=np.float64) for a in (xi, omega, alpha))
+    n = xi.shape[0]
+    psi = np.eye(n) if psi is None else np.asarray(psi, dtype=np.float64)
+    inv_softplus = lambda w: w + np.log(-np.expm1(-w))
+    every_row = lambda v: np.tile(v * np.sqrt(n), (n, 1))  # undoes the 1/sqrt(width)
+    eye = np.eye(n)
+    hp = attention.HeadParams(
+        wq_loc=every_row(xi), wk_loc=eye, wq_om=every_row(inv_softplus(omega)), wk_om=eye,
+        wq_sh=every_row(np.full(n, inv_softplus(1.0))), wk_sh=eye, wv=eye,
+        w_user_mod=eye, w_mix=np.zeros((n, 3)), b_mix=np.zeros(3))
+    stack = lambda a: np.broadcast_to(a, (rows,) + np.shape(a))
+    valid = np.ones((rows, n), dtype=bool)
+    _, cache = attention._head_forward(
+        hp, stack(eye), np.zeros((rows, n)), stack(psi), stack(np.tile(alpha, (n, 1))),
+        np.ones((rows, n)), valid, np.ones((rows, n, n), dtype=bool), valid, mode,
+        attention.AttnOpts(active=("C",), jitter=0.0, dtype=np.float64,
+                           omega_cap=omega_cap),
+        eps=eps, y0=y0, rng=rng)
+    return cache

@@ -1,18 +1,26 @@
 """Term-by-term reference implementations of the paper's kernel formulas,
-of the featurizer and of the training step's numeric kernels.
+of the featurizer, of the training step's numeric kernels and of the
+skew-normal law of the attention logits.
 
 The package computes every kernel as a batched Gram matrix over whole
 windows, and featurizes a whole batch of windows at once. These versions
 follow the paper one pair, one window or one prefix at a time, with the
-omega_i * omega_j scale factors written out. The last four are the plain
-forms of the softplus, the noise and Cholesky gradients and the ListMLE
-loss that the package computes in faster ways. All exist only for the tests
-to compare the production code against.
+omega_i * omega_j scale factors written out. Then come the plain forms of
+the softplus, the noise and Cholesky gradients and the ListMLE loss that
+the package computes in faster ways, and the density that the attention
+head's draw follows, which the package never evaluates. All exist only for
+the tests to compare the production code against.
 """
 
 import numpy as np
+from scipy.special import ndtr
 
 KERNEL_ORDER = ("C", "I", "U")
+
+
+def pair_count(cooc, i, j):
+    """Number of users whose training sequence holds both items i and j."""
+    return int(cooc.pairs[i, j])
 
 
 def counting_kernel(i, j, cooc, omega_i=1.0, omega_j=1.0):
@@ -23,7 +31,7 @@ def counting_kernel(i, j, cooc, omega_i=1.0, omega_j=1.0):
     pj = cooc.item_count[j]
     if pi == 0 or pj == 0:
         return 0.0
-    pij = cooc.pair(i, j)
+    pij = pair_count(cooc, i, j)
     return omega_i * omega_j * (pij * pij) / (pi * pj)
 
 
@@ -181,3 +189,31 @@ def listmle_loss(scores, counts):
     grad = np.zeros_like(scores)
     grad[order] = grad_sorted
     return loss, grad
+
+
+def msn_density(x, xi, omega, corr, alpha):
+    """SN_k density 2 phi_k(x; xi, omega corr omega) Phi(alpha^T omega^{-1} (x - xi))
+    (Azzalini & Capitanio, JRSS-B 1999) at one point x."""
+    x, xi, omega, corr, alpha = (np.asarray(a, dtype=np.float64)
+                                 for a in (x, xi, omega, corr, alpha))
+    n = xi.shape[0]
+    chol = np.linalg.cholesky(corr * np.outer(omega, omega))
+    diff = x - xi
+    white = np.linalg.solve(chol, diff)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    log_phi = -0.5 * (n * np.log(2.0 * np.pi) + logdet + white @ white)
+    return float(2.0 * np.exp(log_phi) * ndtr(alpha @ (diff / omega)))
+
+
+def adv_params(psi, alpha):
+    """(corr_bar, alpha_star) of the draw delta |y0| + sqrt(1 - delta^2) y with
+    y ~ N(0, psi) and delta = alpha / sqrt(1 + alpha^2) (Azzalini & Dalla Valle,
+    Biometrika 1996, with lambda = alpha): its law is SN_k(0, corr_bar,
+    alpha_star) in `msn_density`'s parameterization."""
+    psi = np.asarray(psi, dtype=np.float64)
+    lam = np.asarray(alpha, dtype=np.float64)
+    root = 1.0 / np.sqrt(1.0 + lam * lam)  # sqrt(1 - delta^2)
+    corr_bar = root[:, None] * (psi + np.outer(lam, lam)) * root[None, :]
+    psi_inv_lam = np.linalg.solve(psi, lam)
+    alpha_star = psi_inv_lam / root / np.sqrt(1.0 + lam @ psi_inv_lam)
+    return corr_bar, alpha_star

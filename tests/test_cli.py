@@ -129,6 +129,27 @@ class TestTrainEval:
         assert saved["kernel_active"] == "I"  # flag wins over file
         assert saved["dim"] == 8
 
+    @pytest.mark.parametrize("bad", [
+        {"eval_samples": 0, "eval_mode": "stochastic"},
+        {"kernel": {"jitter": 1.5}}, {"kernel": {"jitter": 1.0}}, {"kernel": {"jitter": -0.1}},
+        {"omega_cap": 0.0}, {"omega_cap": -1.0},
+        {"lr": 0.0}, {"lr": -0.001},
+        {"lambda_r": -0.1}, {"lambda_r": float("nan")}, {"lambda_r": float("inf")},
+        {"grad_clip": -1.0}, {"patience": -1},
+        {"lr_decay_factor": 0.0}, {"lr_decay_factor": 1.5},
+    ], ids=lambda bad: json.dumps(bad))
+    def test_invalid_config_value_exits_1_before_training(self, prepared, tmp_path,
+                                                          capsys, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dim": 8, "blocks": 1, "max_epochs": 1, "batch_size": 16,
+            "eval_every": 1, "data_dir": prepared, **bad}))
+        run_dir = tmp_path / "run_bad"
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out-dir", str(run_dir)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (run_dir / "train_log.jsonl").exists()
+
     def test_baseline_flag(self, prepared, tmp_path):
         run_dir = str(tmp_path / "run3")
         assert cli.main(["train", "--data-dir", prepared, "--out-dir", run_dir,
@@ -263,7 +284,7 @@ class TestInspect:
         assert "kernel_mixture.csv" in files
         assert "item_embeddings.csv" in files
         assert "frequency_ranks.csv" in files
-        assert any(f.startswith("correlation_block0") for f in files)
+        assert any(f.startswith("psi_block0") for f in files)
         # mixture rows sum to 1
         rows = list(csv.reader(open(os.path.join(out_dir, "kernel_mixture.csv"))))
         for row in rows[1:]:
@@ -284,7 +305,7 @@ class TestInspect:
                          "--items", items])
         assert code == 0
         corr = list(csv.reader(open(os.path.join(
-            out_dir, "correlation_block0_head0.csv"))))
+            out_dir, "psi_block0_head0.csv"))))
         assert len(corr) == 4
 
     def test_unknown_item_is_data_error(self, trained, prepared, tmp_path):

@@ -35,6 +35,11 @@ class TestValidation:
         with pytest.raises(UsageError):
             TrainConfig(kernel_active="")
 
+    def test_range_edges_accepted(self):
+        cfg = TrainConfig(kernel_jitter=0.0, omega_cap=1e-9, lambda_r=0.0, grad_clip=0.0,
+                          patience=0, lr_decay_factor=1.0, eval_samples=1)
+        assert cfg.grad_clip == 0.0  # 0 turns clipping off
+
     def test_eval_mode_checked(self):
         with pytest.raises(UsageError):
             TrainConfig(eval_mode="divine")

@@ -66,7 +66,7 @@ class TestTrainLoop:
 
     def test_patience_zero_stops_at_first_stall(self, tmp_path):
         cfg, split, cooc = toy_training(tmp_path, max_epochs=50, eval_every=1,
-                                        patience=0, lr=0.0)  # lr 0: metric never moves
+                                        patience=0, lr=1e-12)  # metric never moves
         result = training.train(cfg, split, cooc)
         evals = [e for e in result.log if "val_hit10" in e]
         assert len(evals) == 2  # baseline epoch, then the first non-improving one
