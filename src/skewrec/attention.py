@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, skewnorm
+from .config import ATTENTION_MODES, TrainConfig
 from .errors import DataError, NumericalError
 from .nnops import (bilinear_scores, bilinear_scores_backward, cholesky_backward,
                     cholesky_lower, l2_normalize, l2_normalize_backward,
@@ -57,15 +58,6 @@ class BlockParams:
     ln1_b: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
-
-
-@dataclass
-class AttnOpts:
-    active: tuple
-    item_variant: str = "linear"
-    jitter: float = 1e-5
-    dtype: type = np.float32
-    omega_cap: float | None = None
 
 
 def alpha_hat(c_window, valid=None):
@@ -105,88 +97,91 @@ def alpha_hat(c_window, valid=None):
     return np.swapaxes(np.where(keep, out, 0.0), -1, -2)
 
 
-def _head_forward(hp: HeadParams, x, u, cnt_base, ahat, amax, valid, attn_mask,
-                  stoch_rows, mode, opts: AttnOpts, eps=None, y0=None, rng=None,
-                  want_psi=False):
-    """One attention head over a batch. Returns (head_out, cache)."""
+def scale_shape(hp: HeadParams, x, feats, cfg: TrainConfig) -> dict:
+    """Stage 2 of a head: the per-key scales omega, shapes alpha and
+    delta(alpha), with their backward caches."""
+    om_logits, om_cache = bilinear_scores(x, hp.wq_om, hp.wk_om)
+    omega = softplus(om_logits)
+    out = {}
+    if cfg.omega_cap is not None:
+        out["om_cap_mask"] = omega < cfg.omega_cap
+        omega = np.minimum(omega, cfg.omega_cap)
+    sh_logits, sh_cache = bilinear_scores(x, hp.wq_sh, hp.wk_sh)
+    s = softplus(sh_logits)
+    amax = feats.amax[:, :, None]
+    ratio = np.where(amax > 0, feats.ahat / np.maximum(amax, 1e-300), 0.0).astype(x.dtype)
+    alpha = s * ratio
+    out.update(om_logits=om_logits, om_cache=om_cache, omega=omega,
+               sh_logits=sh_logits, sh_cache=sh_cache, s=s, ratio=ratio,
+               alpha=alpha, dlt=skewnorm.delta(alpha))
+    return out
+
+
+def latent_correlation(hp: HeadParams, x, u, feats, valid, cfg: TrainConfig) -> dict:
+    """Stage 3 of a head: the latent correlation psi (the kernel mixture,
+    normalized) and its Cholesky factor, with their backward caches."""
     b, n, _ = x.shape
-    dtype = opts.dtype
+    active = cfg.active_kernels()
+    xhat, xnorm = l2_normalize(x.astype(np.float64, copy=False))
+    grams, out = {}, {}
+    if "C" in active:
+        grams["C"] = feats.cnt_base.astype(np.float64, copy=False)
+    if "I" in active:
+        grams["I"] = kernels.item_gram(xhat, cfg.kernel_item_variant)
+    if "U" in active:
+        w_vec = u.astype(np.float64, copy=False) @ hp.w_user_mod.T.astype(np.float64)
+        grams["U"], mod = kernels.user_gram(xhat, w_vec)
+        out.update(w_vec=w_vec, mod=mod)
+    r = kernels.mixture(u.astype(np.float64, copy=False), hp.w_mix.astype(np.float64),
+                        hp.b_mix.astype(np.float64), active)
+    psi_tilde = np.zeros((b, n, n), dtype=np.float64)
+    for a, key in enumerate(active):
+        psi_tilde += r[:, a, None, None] * grams[key]
+    psi, norm_cache = kernels.normalize_correlation(psi_tilde, cfg.kernel_jitter, valid)
+    try:
+        chol = cholesky_lower(psi)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("correlation Cholesky failed after jitter") from exc
+    out.update(xhat=xhat, xnorm=xnorm, grams=grams, r=r, psi_tilde=psi_tilde,
+               psi=psi, norm_cache=norm_cache, chol=chol)
+    return out
+
+
+def _head_forward(hp: HeadParams, x, u, feats, valid, attn_mask, mode,
+                  cfg: TrainConfig, eps=None, y0=None):
+    """One attention head over a batch. Returns (head_out, cache).
+
+    `mode` alone picks the stages: the location xi (stage 1) in every mode,
+    scales and shapes in `mean_shift` and `stochastic`, the correlation and
+    the draw from the noise `eps` [b, n, n], `y0` [b, n] in `stochastic`."""
+    if mode not in ATTENTION_MODES:
+        raise ValueError(f"unknown attention mode {mode!r}")
     cache = {"mode": mode, "x": x, "u": u}
-
-    xi, loc_cache = bilinear_scores(x, hp.wq_loc, hp.wk_loc)
-    cache["loc"] = loc_cache
-
-    need_scale = mode in ("stochastic", "mean_shift") or want_psi
-    need_psi = mode == "stochastic" or want_psi
-
+    xi, cache["loc"] = bilinear_scores(x, hp.wq_loc, hp.wk_loc)
     z = xi
-    if need_scale:
-        om_logits, om_cache = bilinear_scores(x, hp.wq_om, hp.wk_om)
-        omega = softplus(om_logits)
-        if opts.omega_cap is not None:
-            cache["om_cap_mask"] = omega < opts.omega_cap
-            omega = np.minimum(omega, opts.omega_cap)
-        sh_logits, sh_cache = bilinear_scores(x, hp.wq_sh, hp.wk_sh)
-        s = softplus(sh_logits)
-        ratio = np.where(amax[:, :, None] > 0,
-                         ahat / np.maximum(amax[:, :, None], 1e-300),
-                         0.0).astype(x.dtype)
-        alpha = s * ratio
-        dlt = skewnorm.delta(alpha)
-        cache.update(om_logits=om_logits, om_cache=om_cache, omega=omega,
-                     sh_logits=sh_logits, sh_cache=sh_cache, s=s, ratio=ratio,
-                     alpha=alpha, dlt=dlt)
-
-    if need_psi:
-        xhat, xnorm = l2_normalize(x.astype(np.float64, copy=False))
-        grams = {}
-        if "C" in opts.active:
-            grams["C"] = cnt_base.astype(np.float64, copy=False)
-        if "I" in opts.active:
-            grams["I"] = kernels.item_gram(xhat, opts.item_variant)
-        if "U" in opts.active:
-            w_vec = u.astype(np.float64, copy=False) @ hp.w_user_mod.T.astype(np.float64)
-            grams["U"], mod = kernels.user_gram(xhat, w_vec)
-            cache.update(w_vec=w_vec, mod=mod)
-        r = kernels.mixture(u.astype(np.float64, copy=False), hp.w_mix.astype(np.float64),
-                            hp.b_mix.astype(np.float64), opts.active)
-        psi_tilde = np.zeros((b, n, n), dtype=np.float64)
-        for a, key in enumerate(opts.active):
-            psi_tilde += r[:, a, None, None] * grams[key]
-        psi, norm_cache = kernels.normalize_correlation(psi_tilde, opts.jitter, valid)
-        try:
-            chol = cholesky_lower(psi)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("correlation Cholesky failed after jitter") from exc
-        cache.update(xhat=xhat, xnorm=xnorm, grams=grams, r=r, psi_tilde=psi_tilde,
-                     psi=psi, norm_cache=norm_cache, chol=chol)
-
+    if mode != "location":
+        cache.update(scale_shape(hp, x, feats, cfg))
+        omega, dlt = cache["omega"], cache["dlt"]
     if mode == "stochastic":
-        if eps is None:
-            eps = rng.standard_normal((b, n, n)).astype(dtype)
-            y0 = rng.standard_normal((b, n)).astype(dtype)
-        chol_t = np.swapaxes(cache["chol"], -1, -2).astype(dtype)
+        cache.update(latent_correlation(hp, x, u, feats, valid, cfg))
+        chol_t = np.swapaxes(cache["chol"], -1, -2).astype(cfg.dtype)
         y = eps @ chol_t
         zhat = dlt * np.abs(y0)[:, :, None] + np.sqrt(1.0 - dlt * dlt) * y
-        sr = stoch_rows[:, :, None].astype(dtype)
-        z = xi + sr * (omega * zhat).astype(dtype)
-        cache.update(eps=eps, y0=y0, y=y, zhat=zhat, sr=sr)
+        z = xi + (omega * zhat).astype(cfg.dtype)
+        cache.update(eps=eps, y0=y0, y=y, zhat=zhat)
     elif mode == "mean_shift":
-        z = xi + (omega * dlt * np.sqrt(2.0 / np.pi)).astype(dtype)
-    elif mode != "location":
-        raise ValueError(f"unknown attention mode {mode!r}")
+        z = xi + (omega * dlt * np.sqrt(2.0 / np.pi)).astype(cfg.dtype)
 
     if np.any(valid & ~attn_mask.any(axis=-1)):
         raise NumericalError("attention row with every key masked")
     probs = masked_softmax(z, attn_mask)
     v = x @ hp.wv
-    head_out = probs @ v
     cache.update(z=z, probs=probs, v=v)
-    return head_out, cache
+    return probs @ v, cache
 
 
 def _head_backward(hp: HeadParams, cache, d_head_out, grads: HeadParams,
-                   opts: AttnOpts, d_psi_extra=None):
+                   cfg: TrainConfig, d_psi_extra=None):
     """Backward of one head; returns (d_x, d_u)."""
     x, u = cache["x"], cache["u"]
     probs, v = cache["probs"], cache["v"]
@@ -205,9 +200,9 @@ def _head_backward(hp: HeadParams, cache, d_head_out, grads: HeadParams,
 
     if mode == "stochastic":
         omega, zhat, dlt = cache["omega"], cache["zhat"], cache["dlt"]
-        sr, y0, y, eps = cache["sr"], cache["y0"], cache["y"], cache["eps"]
-        d_om = d_z * sr * zhat
-        d_zhat = d_z * sr * omega
+        y0, y, eps = cache["y0"], cache["y"], cache["eps"]
+        d_om = d_z * zhat
+        d_zhat = d_z * omega
         root = np.sqrt(1.0 - dlt * dlt)
         d_dlt = d_zhat * (np.abs(y0)[:, :, None] - dlt / root * y)
         d_y = d_zhat * root
@@ -235,17 +230,18 @@ def _head_backward(hp: HeadParams, cache, d_head_out, grads: HeadParams,
         d_psi = d_psi_extra if d_psi is None else d_psi + d_psi_extra
 
     if d_psi is not None:
+        active = cfg.active_kernels()
         d_tilde = kernels.normalize_correlation_backward(d_psi, cache["norm_cache"],
-                                                         opts.jitter)
+                                                         cfg.kernel_jitter)
         r, grams = cache["r"], cache["grams"]
         xhat = cache["xhat"]
         d_r = np.zeros_like(r)
         d_xhat = np.zeros_like(xhat)
-        for a, key in enumerate(opts.active):
+        for a, key in enumerate(active):
             d_r[:, a] = np.einsum("bij,bij->b", d_tilde, grams[key])
             d_gram = r[:, a, None, None] * d_tilde
             if key == "I":
-                d_xhat += kernels.item_gram_backward(d_gram, xhat, opts.item_variant,
+                d_xhat += kernels.item_gram_backward(d_gram, xhat, cfg.kernel_item_variant,
                                                      grams["I"])
             elif key == "U":
                 dxh, d_wvec = kernels.user_gram_backward(d_gram, cache["mod"], xhat,
@@ -254,7 +250,7 @@ def _head_backward(hp: HeadParams, cache, d_head_out, grads: HeadParams,
                 grads.w_user_mod += d_wvec.T @ u.astype(np.float64, copy=False)
                 d_u += (d_wvec @ hp.w_user_mod.astype(np.float64)).astype(u.dtype)
         # mixture softmax over the active subset
-        idx = [kernels.KERNEL_ORDER.index(a) for a in opts.active]
+        idx = [kernels.KERNEL_ORDER.index(a) for a in active]
         d_logits = r * (d_r - np.sum(d_r * r, axis=-1, keepdims=True))
         grads.w_mix[:, idx] += u.astype(np.float64, copy=False).T @ d_logits
         grads.b_mix[idx] += d_logits.sum(axis=0)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import corpus, evaluation, model, training
-from .config import RunConfig, TrainConfig, load_config
+from .config import ATTENTION_MODES, RunConfig, TrainConfig, load_config
 from .errors import DataError, NumericalError, UsageError
 
 
@@ -50,7 +50,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--item-variant", choices=["linear", "rbf"])
         sp.add_argument("--baseline", action="store_true",
                         help="deterministic location-only ablation")
-        sp.add_argument("--eval-mode", choices=["location", "mean_shift", "stochastic"])
+        sp.add_argument("--eval-mode", choices=ATTENTION_MODES)
         sp.add_argument("--max-epochs", type=int)
         sp.add_argument("--batch-size", type=int)
         sp.add_argument("--dim", type=int)
@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--data-dir", required=True)
     ev.add_argument("--split", choices=["valid", "test"], default="test")
     ev.add_argument("--seeds", default="0", help="comma-separated evaluation seeds")
-    ev.add_argument("--eval-mode", choices=["location", "mean_shift", "stochastic"])
+    ev.add_argument("--eval-mode", choices=ATTENTION_MODES)
     ev.add_argument("--full-catalog", action="store_true")
     ev.add_argument("--out-dir")
 

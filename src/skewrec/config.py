@@ -1,7 +1,8 @@
 """Run configuration: hyperparameters, kernel selection, and paths.
 
 Config files are JSON; every key must be known (typos are rejected rather
-than silently ignored). Command-line flags override file values.
+than silently ignored) and every value must have its field's JSON type.
+Command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -9,11 +10,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
 from .errors import UsageError
 
 KERNEL_CODES = ("C", "I", "U")  # counting, item, user
+# what the attention logits are: the location scores, plus the skew-normal
+# mean, plus one skew-normal draw
+ATTENTION_MODES = ("location", "mean_shift", "stochastic")
 
 
 @dataclass
@@ -40,7 +45,6 @@ class TrainConfig:
     kernel_item_variant: str = "linear"
     kernel_jitter: float = 1e-5
     # attention behaviour
-    stochastic_rows: str = "all"  # "all" or "last"
     baseline: bool = False  # deterministic location-only path, no rank loss
     omega_cap: float | None = None  # clamp the per-key scales (degenerate-limit runs)
     # evaluation behaviour
@@ -80,9 +84,7 @@ class TrainConfig:
             raise UsageError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.kernel_item_variant not in ("linear", "rbf"):
             raise UsageError(f"kernel_item_variant must be linear or rbf")
-        if self.stochastic_rows not in ("all", "last"):
-            raise UsageError("stochastic_rows must be 'all' or 'last'")
-        if self.eval_mode not in ("location", "mean_shift", "stochastic"):
+        if self.eval_mode not in ATTENTION_MODES:
             raise UsageError(f"unknown eval_mode {self.eval_mode!r}")
         self.active_kernels()  # validate syntax
 
@@ -111,15 +113,31 @@ _NESTED_KEYS = {
                "jitter": "kernel_jitter"},
 }
 _PATH_KEYS = {"data_dir", "out_dir"}
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+
+
+def _checked(key: str, value, hint):
+    """`value` if it has the JSON type of a field annotated `hint`: a bool or
+    null only where the field is bool or Optional, an int for int or float,
+    a float for float, a str for str."""
+    kinds = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool) or value is None:
+        ok = type(value) in kinds
+    else:
+        ok = isinstance(value, (int, float) if kinds[0] is float else kinds[0])
+    if not ok:
+        want = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
+    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON object, rejecting unknown keys."""
+    """Build a RunConfig from a parsed JSON object, rejecting unknown keys
+    and values of the wrong type."""
     if not isinstance(raw, dict):
         raise UsageError("config root must be a JSON object")
     flat: dict = {}
     paths: dict = {}
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
     for key, value in raw.items():
         if key in _NESTED_KEYS:
             if not isinstance(value, dict):
@@ -127,11 +145,12 @@ def config_from_dict(raw: dict) -> RunConfig:
             for sub, subval in value.items():
                 if sub not in _NESTED_KEYS[key]:
                     raise UsageError(f"unknown config key {key}.{sub}")
-                flat[_NESTED_KEYS[key][sub]] = subval
+                name = _NESTED_KEYS[key][sub]
+                flat[name] = _checked(f"{key}.{sub}", subval, _FIELD_TYPES[name])
         elif key in _PATH_KEYS:
-            paths[key] = str(value)
-        elif key in known:
-            flat[key] = value
+            paths[key] = _checked(key, value, str)
+        elif key in _FIELD_TYPES:
+            flat[key] = _checked(key, value, _FIELD_TYPES[key])
         else:
             raise UsageError(f"unknown config key {key!r}")
     return RunConfig(train=TrainConfig(**flat), **paths)

@@ -69,8 +69,7 @@ def _eval_batch(split: SplitDataset, users, which: str, max_len: int):
 
 def evaluate(params, cfg: TrainConfig, split: SplitDataset, cooc: CoocStats,
              which: str = "test", seed: int = 0, ks=(5, 10),
-             featurizer: model.Featurizer | None = None,
-             item_counts: np.ndarray | None = None) -> EvalMetrics:
+             featurizer: model.Featurizer | None = None) -> EvalMetrics:
     """Rank the held-out target of every user against sampled negatives.
 
     Deterministic given `seed` (negatives are fixed per user). With
@@ -115,8 +114,7 @@ def evaluate(params, cfg: TrainConfig, split: SplitDataset, cooc: CoocStats,
             pos += 1
     hit = {k: hit_at_k(ranks, k) for k in ks}
     ndcg = {k: ndcg_at_k(ranks, k) for k in ks}
-    counts = item_counts if item_counts is not None else cooc.item_count
-    buckets = frequency_buckets(ranks, target_items, counts)
+    buckets = frequency_buckets(ranks, target_items, cooc.item_count)
     n_cand = split.n_items if cfg.full_catalog_eval else cfg.k_neg_eval + 1
     return EvalMetrics(hit=hit, ndcg=ndcg, per_user_ranks=ranks,
                        frequency_buckets=buckets, n_users=len(users),

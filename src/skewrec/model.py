@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .attention import AttnOpts, BlockParams, HeadParams, alpha_hat, init_block, \
-    _head_backward, _head_forward
+from .attention import BlockParams, HeadParams, alpha_hat, init_block, \
+    latent_correlation, scale_shape, _head_backward, _head_forward
 from .config import TrainConfig
 from .corpus import Batch, CoocStats, SplitDataset
 from .errors import NumericalError
@@ -160,43 +160,31 @@ def make_noise(cfg: TrainConfig, b: int, rng: np.random.Generator):
              for _ in range(cfg.heads)] for _ in range(cfg.blocks)]
 
 
-def _attn_opts(cfg: TrainConfig) -> AttnOpts:
-    return AttnOpts(active=cfg.active_kernels(), item_variant=cfg.kernel_item_variant,
-                    jitter=cfg.kernel_jitter, dtype=np.dtype(cfg.dtype).type,
-                    omega_cap=cfg.omega_cap)
-
-
-def _block_forward(bp: BlockParams, opts, cfg, x_in, u, feats, valid, attn_mask,
-                   stoch_rows, mode, noise_blk, rng, train, drop_rng, want_psi):
-    b, L, d = x_in.shape
-    head_outs, head_caches = [], []
+def _block_forward(bp: BlockParams, cfg, x_in, u, feats, valid, attn_mask, mode,
+                   noise_blk, drop_rng):
+    heads = []
     for h, hp in enumerate(bp.heads):
-        eps = y0 = None
-        if noise_blk is not None:
-            eps, y0 = noise_blk[h]
-        ho, hc = _head_forward(hp, x_in, u, feats.cnt_base, feats.ahat, feats.amax,
-                               valid, attn_mask, stoch_rows, mode, opts,
-                               eps=eps, y0=y0, rng=rng, want_psi=want_psi)
-        head_outs.append(ho)
-        head_caches.append(hc)
-    concat = np.concatenate(head_outs, axis=-1)
+        eps, y0 = noise_blk[h] if noise_blk is not None else (None, None)
+        heads.append(_head_forward(hp, x_in, u, feats, valid, attn_mask, mode, cfg, eps, y0))
+    concat = np.concatenate([out for out, _ in heads], axis=-1)
     proj = concat @ bp.w_out
-    mask1 = dropout_mask(proj.shape, cfg.dropout, drop_rng, proj.dtype) if train else None
+    rate = cfg.dropout if drop_rng is not None else 0.0  # dropout iff drop_rng
+    mask1 = dropout_mask(proj.shape, rate, drop_rng, proj.dtype)
     res1 = x_in + (proj * mask1 if mask1 is not None else proj)
     a, ln1_cache = layer_norm(res1, bp.ln1_g, bp.ln1_b)
     f1 = a @ bp.ffn_w1 + bp.ffn_b1
     relu = np.maximum(f1, 0.0)
     f2 = relu @ bp.ffn_w2 + bp.ffn_b2
-    mask2 = dropout_mask(f2.shape, cfg.dropout, drop_rng, f2.dtype) if train else None
+    mask2 = dropout_mask(f2.shape, rate, drop_rng, f2.dtype)
     res2 = a + (f2 * mask2 if mask2 is not None else f2)
     out, ln2_cache = layer_norm(res2, bp.ln2_g, bp.ln2_b)
-    cache = dict(x_in=x_in, head_caches=head_caches, concat=concat, mask1=mask1,
-                 ln1_cache=ln1_cache, a=a, f1=f1, relu=relu, mask2=mask2,
+    cache = dict(x_in=x_in, head_caches=[hc for _, hc in heads], concat=concat,
+                 mask1=mask1, ln1_cache=ln1_cache, a=a, f1=f1, relu=relu, mask2=mask2,
                  ln2_cache=ln2_cache)
     return out, cache
 
 
-def _block_backward(bp: BlockParams, opts, cache, d_out, gblk: BlockParams,
+def _block_backward(bp: BlockParams, cfg, cache, d_out, gblk: BlockParams,
                     d_psi_seeds=None):
     x_in = cache["x_in"]
     flat = lambda t: t.reshape(-1, t.shape[-1])
@@ -228,38 +216,35 @@ def _block_backward(bp: BlockParams, opts, cache, d_out, gblk: BlockParams,
         d_ho = d_concat[..., h * dh:(h + 1) * dh]
         seed = d_psi_seeds[h] if d_psi_seeds is not None else None
         dx_h, du_h = _head_backward(hp, cache["head_caches"][h], d_ho,
-                                    gblk.heads[h], opts, d_psi_extra=seed)
+                                    gblk.heads[h], cfg, d_psi_extra=seed)
         d_x += dx_h
         d_u = du_h if d_u is None else d_u + du_h
     return d_x, d_u
 
 
 def forward(params: ModelParams, cfg: TrainConfig, batch, feats: BatchFeatures,
-            mode: str, noise=None, rng=None, train=False, drop_rng=None,
-            want_psi=False):
-    """Run the stacked blocks; returns (F, cache)."""
-    opts = _attn_opts(cfg)
+            mode: str, noise=None, rng=None, drop_rng=None):
+    """Run the stacked blocks; returns (F, cache).
+
+    In `stochastic` mode the heads read their noise from `noise`
+    (`make_noise`'s layout), drawn from `rng` when not given. Dropout runs
+    iff `drop_rng` is given."""
     ids = batch.item_ids
     b, L = ids.shape
+    if mode == "stochastic" and noise is None:
+        noise = make_noise(cfg, b, rng)
     valid = batch.pad_mask
     x = params.item_emb[ids] + params.pos_emb[None]
     u = params.user_emb[batch.user_ids]
     causal = np.tril(np.ones((L, L), dtype=bool))
     attn_mask = valid[:, None, :] & valid[:, :, None] & causal[None]
-    if cfg.stochastic_rows == "last" and mode == "stochastic":
-        stoch_rows = np.zeros_like(valid)
-        stoch_rows[np.arange(b), L - 1] = valid[:, L - 1]
-    else:
-        stoch_rows = valid
-    need_psi = want_psi or (mode == "stochastic")
     block_caches = []
     for bi, bp in enumerate(params.blocks):
         noise_blk = noise[bi] if noise is not None else None
-        x, bc = _block_forward(bp, opts, cfg, x, u, feats, valid, attn_mask,
-                               stoch_rows, mode, noise_blk, rng, train, drop_rng,
-                               need_psi)
+        x, bc = _block_forward(bp, cfg, x, u, feats, valid, attn_mask, mode, noise_blk,
+                               drop_rng)
         block_caches.append(bc)
-    cache = dict(ids=ids, valid=valid, u_ids=batch.user_ids, opts=opts,
+    cache = dict(ids=ids, valid=valid, u_ids=batch.user_ids,
                  block_caches=block_caches, F=x)
     return x, cache
 
@@ -278,12 +263,11 @@ def backward(params: ModelParams, cfg: TrainConfig, cache, d_f,
              d_psi_seeds=None) -> ModelParams:
     """Backward through blocks and embeddings; returns a grads ModelParams."""
     grads = zeros_like_params(params)
-    opts = cache["opts"]
     d_x = d_f
     d_u_total = None
     for bi in range(len(params.blocks) - 1, -1, -1):
         seeds = d_psi_seeds[bi] if d_psi_seeds is not None else None
-        d_x, d_u = _block_backward(params.blocks[bi], opts, cache["block_caches"][bi],
+        d_x, d_u = _block_backward(params.blocks[bi], cfg, cache["block_caches"][bi],
                                    d_x, grads.blocks[bi], seeds)
         d_u_total = d_u if d_u_total is None else d_u_total + d_u
     ids = cache["ids"]
@@ -314,17 +298,15 @@ def training_step_loss(params: ModelParams, cfg: TrainConfig, batch: Batch,
     location path instead and skips the ranking loss.
     """
     mode = "location" if cfg.baseline else "stochastic"
-    train = cfg.dropout > 0.0 and drop_rng is not None
     f, cache = forward(params, cfg, batch, feats, mode, noise=noise, rng=rng,
-                       train=train, drop_rng=drop_rng)
+                       drop_rng=drop_rng)
     s_pos, s_neg, e_pos, e_neg = score_positions(params, f, batch)
     valid_t = batch.targets != 0
     l_z, d_spos, d_sneg = losses.prediction_loss(s_pos, s_neg, valid_t)
 
     l_rank = 0.0
     d_psi_seeds = None
-    use_rank = (not cfg.baseline) and cfg.lambda_r != 0.0 and mode == "stochastic"
-    if use_rank:
+    if mode == "stochastic" and cfg.lambda_r != 0.0:
         l_rank, d_psi_seeds = _rank_loss(params, cfg, cache, batch, feats,
                                          want_grads=want_grads)
     report = losses.total_loss(l_z, l_rank, cfg.lambda_r)
@@ -375,28 +357,31 @@ def last_hidden(params: ModelParams, cfg: TrainConfig, batch, feats, mode,
 
 def collect_trace(params: ModelParams, cfg: TrainConfig, batch, feats, mode="location",
                   rng=None):
-    """Per-block/head attention diagnostics for a single-sequence batch."""
+    """Per-block/head attention diagnostics for a single-sequence batch.
+
+    The scales, shapes and correlation are recomputed from each head's
+    input, so every mode reports them."""
     if batch.item_ids.shape[0] != 1:
         raise ValueError("traces are collected one sequence at a time")
-    f, cache = forward(params, cfg, batch, feats, mode, rng=rng,
-                       want_psi=True)
-    valid = cache["valid"][0]
+    f, cache = forward(params, cfg, batch, feats, mode, rng=rng)
+    valid = cache["valid"]
     m = int(valid.sum())
-    L = valid.shape[0]
+    L = valid.shape[1]
     win = slice(L - m, L)
     out = []
-    for bc in cache["block_caches"]:
+    for bp, bc in zip(params.blocks, cache["block_caches"]):
         per_head = []
-        for hc in bc["head_caches"]:
-            xi_full = bilinear_from_cache(hc)
+        for hp, hc in zip(bp.heads, bc["head_caches"]):
+            ss = scale_shape(hp, hc["x"], feats, cfg)
+            lc = latent_correlation(hp, hc["x"], hc["u"], feats, valid, cfg)
             per_head.append({
-                "xi": xi_full[win, win],
+                "xi": bilinear_from_cache(hc)[win, win],
                 "logits": hc["z"][0][win, win],
                 "attn": hc["probs"][0][win, win],
-                "omega": hc["omega"][0, -1, win] if "omega" in hc else np.ones(m),
-                "psi": hc["psi"][0][win, win] if "psi" in hc else np.eye(m),
-                "alpha": hc["alpha"][0, -1, win] if "alpha" in hc else np.zeros(m),
-                "mixture_r": hc["r"][0] if "r" in hc else np.array([]),
+                "omega": ss["omega"][0, -1, win],
+                "psi": lc["psi"][0][win, win],
+                "alpha": ss["alpha"][0, -1, win],
+                "mixture_r": lc["r"][0],
             })
         out.append(per_head)
     return f, out

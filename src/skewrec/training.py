@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation, model
-from .config import TrainConfig
+from .config import TrainConfig, config_from_dict
 from .corpus import Batch, CoocStats, SplitDataset, make_batches
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -94,13 +94,13 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise DataError(
                     f"checkpoint {path}: format version {version} is not "
                     f"{CHECKPOINT_FORMAT_VERSION}")
-            cfg = TrainConfig(**meta["config"])
+            cfg = config_from_dict(meta["config"]).train
             params = model.init_params(cfg, meta["n_items"], meta["n_users"],
                                        np.random.default_rng(0))
             for name, arr in model.named_tensors(params):
                 arr[...] = blob[f"param::{name}"]
     except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UsageError) as exc:  # a bad stored config too
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
     return Checkpoint(params=params, config=cfg, epoch=meta["epoch"],
                       best_metric=meta.get("best_metric", 0.0))

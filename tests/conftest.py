@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from skewrec import attention, corpus
+from skewrec import attention, corpus, model
+from skewrec.config import TrainConfig
 
 
 def synth_log_lines(n_users, n_items, rng, min_len=3, max_len_actions=12,
@@ -64,13 +65,18 @@ def random_head(d, rng, dh=None, scale=1.0):
         w_mix=mat(d, 3), b_mix=mat(3))
 
 
-def run_head(hp, x, mode="location", active=("I",), cooc_window=None,
-             cnt_base=None, u=None, rng=None, want_psi=False, **opts):
-    """One attention head over a single unpadded window, through the batched
-    `attention._head_forward` on a one-row batch; returns (output, cache).
+def head_config(active, **fields):
+    """Float64 TrainConfig of a head with the `active` kernels; `fields` are
+    further TrainConfig fields (kernel_item_variant, kernel_jitter, ...)."""
+    return TrainConfig(kernel_active="+".join(active), dtype="float64", **fields)
+
+
+def window_inputs(x, cooc_window=None, cnt_base=None, u=None):
+    """(x, u, feats, valid) of one unpadded window as a one-row batch.
 
     The two-hop alignments come from `cooc_window` (zeros when omitted) the
-    way the featurizer derives them; `opts` go to `attention.AttnOpts`.
+    way the featurizer derives them; the counting base is the identity when
+    omitted and the user vector zero.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
@@ -80,13 +86,34 @@ def run_head(hp, x, mode="location", active=("I",), cooc_window=None,
         ahat[q, :q + 1] = attention.alpha_hat(c[:q + 1, :q + 1])[-1]
     cnt = np.eye(n) if cnt_base is None else np.asarray(cnt_base, dtype=float)
     u = np.zeros(d) if u is None else np.asarray(u, dtype=np.float64)
-    valid = np.ones((1, n), dtype=bool)
-    attn_mask = np.tril(np.ones((n, n), dtype=bool))[None]
-    out, cache = attention._head_forward(
-        hp, x[None], u[None], cnt[None], ahat[None], ahat.max(axis=1)[None], valid,
-        attn_mask, valid, mode, attention.AttnOpts(active=active, dtype=np.float64, **opts),
-        rng=rng, want_psi=want_psi)
+    feats = model.BatchFeatures(cnt[None], np.zeros((1, n)), ahat[None],
+                                ahat.max(axis=1)[None])
+    return x[None], u[None], feats, np.ones((1, n), dtype=bool)
+
+
+def run_head(hp, x, mode="location", active=("I",), cooc_window=None,
+             cnt_base=None, u=None, **fields):
+    """One attention head in `location` or `mean_shift` mode over a single
+    unpadded window, through the batched `attention._head_forward` on a
+    one-row batch; returns (output, cache). Inputs are those of
+    `window_inputs`, settings those of `head_config`.
+    """
+    x, u, feats, valid = window_inputs(x, cooc_window, cnt_base, u)
+    attn_mask = np.tril(np.ones((x.shape[1],) * 2, dtype=bool))[None]
+    out, cache = attention._head_forward(hp, x, u, feats, valid, attn_mask, mode,
+                                         head_config(active, **fields))
     return out[0], cache
+
+
+def head_stages(hp, x, active, cnt_base=None, u=None, **fields):
+    """Both stages of one head over a single unpadded window, the way
+    `model.collect_trace` reads them in every mode: `attention.scale_shape`
+    and `attention.latent_correlation` merged into one dict (inputs as
+    `window_inputs`, settings as `head_config`)."""
+    x, u, feats, valid = window_inputs(x, cnt_base=cnt_base, u=u)
+    cfg = head_config(active, **fields)
+    return {**attention.scale_shape(hp, x, feats, cfg),
+            **attention.latent_correlation(hp, x, u, feats, valid, cfg)}
 
 
 def repeat_head(hp, x, u, feats, valid, reps, mode, rng=None):
@@ -94,16 +121,21 @@ def repeat_head(hp, x, u, feats, valid, reps, mode, rng=None):
     batch axis and run through `attention._head_forward` in float64 with the
     causal, padding-aware mask of `model.forward`; returns the head cache.
 
-    In `stochastic` mode every copy draws its own noise, so cache["z"][:, q]
-    holds `reps` independent draws of row q's logits.
+    In `stochastic` mode every copy gets its own noise from `rng`, so
+    cache["z"][:, q] holds `reps` independent draws of row q's logits.
     """
     L = valid.shape[1]
     attn_mask = valid[:, None, :] & valid[:, :, None] & np.tril(np.ones((L, L), bool))[None]
     rep = lambda a: np.repeat(np.asarray(a), reps, axis=0)
-    _, cache = attention._head_forward(
-        hp, rep(x), rep(u), rep(feats.cnt_base), rep(feats.ahat), rep(feats.amax),
-        rep(valid), rep(attn_mask), rep(valid), mode,
-        attention.AttnOpts(active=("C", "I", "U"), dtype=np.float64), rng=rng)
+    feats = model.BatchFeatures(rep(feats.cnt_base), rep(feats.cooc_win), rep(feats.ahat),
+                                rep(feats.amax))
+    x = rep(x)
+    eps = y0 = None
+    if mode == "stochastic":
+        b, n = x.shape[:2]
+        eps, y0 = rng.standard_normal((b, n, n)), rng.standard_normal((b, n))
+    _, cache = attention._head_forward(hp, x, rep(u), feats, rep(valid), rep(attn_mask),
+                                       mode, head_config(("C", "I", "U")), eps, y0)
     return cache
 
 
@@ -119,7 +151,8 @@ def law_head(xi, omega, alpha, psi=None, rows=1, mode="stochastic", rng=None,
     in every row; the counting kernel is the only one and its base is psi,
     which jitter 0 passes through; the alignments are alpha over row maxima
     1. Every row q of each of the `rows` sequences draws its own noise over
-    all n keys, so cache["z"].reshape(-1, n) holds rows * n independent draws.
+    all n keys (from `rng` unless `eps` and `y0` are given), so
+    cache["z"].reshape(-1, n) holds rows * n independent draws.
     """
     xi, omega, alpha = (np.asarray(a, dtype=np.float64) for a in (xi, omega, alpha))
     n = xi.shape[0]
@@ -133,10 +166,11 @@ def law_head(xi, omega, alpha, psi=None, rows=1, mode="stochastic", rng=None,
         w_user_mod=eye, w_mix=np.zeros((n, 3)), b_mix=np.zeros(3))
     stack = lambda a: np.broadcast_to(a, (rows,) + np.shape(a))
     valid = np.ones((rows, n), dtype=bool)
+    feats = model.BatchFeatures(stack(psi), np.zeros((rows, n)), stack(np.tile(alpha, (n, 1))),
+                                np.ones((rows, n)))
+    if mode == "stochastic" and eps is None:
+        eps, y0 = rng.standard_normal((rows, n, n)), rng.standard_normal((rows, n))
     _, cache = attention._head_forward(
-        hp, stack(eye), np.zeros((rows, n)), stack(psi), stack(np.tile(alpha, (n, 1))),
-        np.ones((rows, n)), valid, np.ones((rows, n, n), dtype=bool), valid, mode,
-        attention.AttnOpts(active=("C",), jitter=0.0, dtype=np.float64,
-                           omega_cap=omega_cap),
-        eps=eps, y0=y0, rng=rng)
+        hp, stack(eye), np.zeros((rows, n)), feats, valid, np.ones((rows, n, n), dtype=bool),
+        mode, head_config(("C",), kernel_jitter=0.0, omega_cap=omega_cap), eps, y0)
     return cache

@@ -284,6 +284,33 @@ class TestSamplingConsistency:
         np.testing.assert_allclose(hc["omega"][0, 4], om_ref, rtol=1e-10)
 
 
+class TestNoiseStream:
+    """`forward` draws all of a stochastic pass's noise from its generator
+    in one fixed order: block outer, head inner, eps then y0."""
+
+    def test_cached_noise_is_the_generator_stream_in_order(self):
+        cfg, params, cooc, feat = tiny_setup(n=5, blocks=2, heads=2, dtype="float32")
+        ids = np.array([[1, 2, 3, 4, 5], [0, 0, 3, 4, 5]])  # second row left-padded
+        batch = corpus.Batch(item_ids=ids, targets=np.zeros_like(ids),
+                             negatives=np.zeros(ids.shape + (1,), dtype=np.int64),
+                             user_ids=np.array([0, 1]), pad_mask=ids != 0)
+        b, L = ids.shape
+        _, cache = model.forward(params, cfg, batch, feat.batch_features(batch, None),
+                                 "stochastic", rng=np.random.default_rng(17))
+        per_head = b * L * L + b * L
+        stream = np.random.default_rng(17).standard_normal(4 * per_head)
+        k = 0
+        for bi in range(2):
+            for h in range(2):
+                hc = cache["block_caches"][bi]["head_caches"][h]
+                eps = stream[k:k + b * L * L].reshape(b, L, L).astype(np.float32)
+                y0 = stream[k + b * L * L:k + per_head].reshape(b, L).astype(np.float32)
+                np.testing.assert_array_equal(hc["eps"], eps)
+                np.testing.assert_array_equal(hc["y0"], y0)
+                assert hc["eps"].dtype == hc["y0"].dtype == np.float32
+                k += per_head
+
+
 class TestStackProperties:
     def test_causality_under_future_perturbation(self):
         cfg, params, cooc, feat = tiny_setup(n=6, blocks=2, seed=10)

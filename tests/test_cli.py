@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from skewrec import cli, corpus, model
+from skewrec.config import TrainConfig
 
 from conftest import synth_log_lines
 
@@ -61,6 +63,22 @@ class TestPrepare:
 
     def test_bad_flag_is_usage_error(self, capsys):
         assert cli.main(["prepare", "--no-such-flag", "x"]) == 1
+
+
+# a value of the wrong JSON type for every TrainConfig field and both path
+# keys, as a config file spells the key; the kernel fields sit in its
+# "kernel" object
+WRONG_TYPES = [
+    ("batch_size", 12.5), ("dim", True), ("blocks", 1.0), ("heads", "1"),
+    ("dropout", True), ("lr", "0.1"), ("lambda_r", True), ("max_len", 5.0),
+    ("k_neg_train", True), ("k_neg_eval", "100"), ("max_epochs", 1.5),
+    ("patience", None), ("seed", "3"), ("lr_decay_factor", "0.5"),
+    ("eval_every", True), ("dtype", None), ("grad_clip", "5"),
+    ("kernel.active", ["C"]), ("kernel.item_variant", 1), ("kernel.jitter", "0.1"),
+    ("baseline", "false"), ("omega_cap", True), ("eval_mode", 1),
+    ("eval_samples", 2.0), ("full_catalog_eval", 1),
+    ("data_dir", None), ("out_dir", 5),
+]
 
 
 class TestTrainEval:
@@ -150,6 +168,26 @@ class TestTrainEval:
         assert "usage error" in capsys.readouterr().err
         assert not (run_dir / "train_log.jsonl").exists()
 
+    @pytest.mark.parametrize("key,value", WRONG_TYPES,
+                             ids=[f"{k}={json.dumps(v)}" for k, v in WRONG_TYPES])
+    def test_wrong_value_type_exits_1_before_training(self, prepared, tmp_path,
+                                                      capsys, key, value):
+        outer, _, inner = key.partition(".")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dim": 8, "blocks": 1, "max_epochs": 1, "batch_size": 16,
+            "eval_every": 1, "data_dir": prepared,
+            outer: {inner: value} if inner else value}))
+        run_dir = tmp_path / "run_bad"
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out-dir", str(run_dir)]) == 1
+        assert f"usage error: config key {key!r} must be" in capsys.readouterr().err
+        assert not (run_dir / "train_log.jsonl").exists()
+
+    def test_wrong_type_cases_cover_every_key(self):
+        keys = {f.name for f in dataclasses.fields(TrainConfig)} | {"data_dir", "out_dir"}
+        assert {key.replace(".", "_") for key, _ in WRONG_TYPES} == keys
+
     def test_baseline_flag(self, prepared, tmp_path):
         run_dir = str(tmp_path / "run3")
         assert cli.main(["train", "--data-dir", prepared, "--out-dir", run_dir,
@@ -186,6 +224,20 @@ class TestFailurePaths:
         dump = np.load(run_dir / "bad_batch.npz")
         assert dump["item_ids"].shape[0] == 16
 
+    @pytest.mark.parametrize("case,edit,message", [
+        ("unknown_key", lambda m: m["config"].update(not_a_field=1), "not_a_field"),
+        ("out_of_range", lambda m: m["config"].update(lr=-1), "lr must be positive"),
+        ("format_2", lambda m: m.update(format_version=2), "format version 2 is not 3"),
+    ], ids=["unknown_key", "out_of_range", "format_2"])
+    def test_bad_checkpoint_config_exits_2(self, trained, prepared, tmp_path, capsys,
+                                           case, edit, message):
+        bad = tmp_path / f"{case}.npz"
+        _rewrite_meta(os.path.join(trained, "checkpoint.npz"), bad, edit)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(bad), "--data-dir", prepared]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
     @pytest.mark.parametrize("n_users,n_items", [(40, 35), (15, 12)])
     def test_checkpoint_dataset_mismatch_exits_2(self, trained, prepared, tmp_path,
                                                  capsys, n_users, n_items):
@@ -203,6 +255,16 @@ class TestFailurePaths:
         assert shape_of(prepared) in err and shape_of(other) in err
         assert cli.main(["inspect", "--checkpoint", ckpt, "--data-dir", other,
                          "--out-dir", str(tmp_path / "ins"), "--user-id", "0"]) == 2
+
+
+def _rewrite_meta(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with `edit` applied to its metadata."""
+    with np.load(src) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(dst, **arrays)
 
 
 def _tamper_cooc(path, case):

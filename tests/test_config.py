@@ -62,3 +62,11 @@ class TestConfigFromDict:
     def test_paths_pass_through(self):
         run = config_from_dict({"data_dir": "d", "out_dir": "o"})
         assert (run.data_dir, run.out_dir) == ("d", "o")
+
+    def test_stored_config_round_trips(self):
+        for cfg in (TrainConfig(), TrainConfig(omega_cap=0.5, baseline=True)):
+            assert config_from_dict(cfg.to_dict()).train == cfg
+
+    def test_int_accepted_for_float(self):
+        run = config_from_dict({"lr": 1, "omega_cap": 2, "kernel": {"jitter": 0}})
+        assert (run.train.lr, run.train.omega_cap, run.train.kernel_jitter) == (1, 2, 0)

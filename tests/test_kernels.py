@@ -5,7 +5,7 @@ from skewrec import corpus, kernels
 from skewrec.errors import NumericalError
 
 import oracles
-from conftest import make_cooc, random_head, run_head
+from conftest import head_stages, make_cooc, random_head, run_head
 
 LN2 = np.log(2.0)
 
@@ -186,8 +186,8 @@ class TestCorrelationMatrix:
         x = rng.normal(size=(n, d)) if x is None else x
         u = rng.normal(size=x.shape[1]) if u is None else u
         hp = random_head(x.shape[1], rng)
-        _, hc = run_head(hp, x, "location", active=active, cnt_base=cnt_base, u=u,
-                         want_psi=True, item_variant=variant)
+        hc = head_stages(hp, x, active, cnt_base=cnt_base, u=u,
+                         kernel_item_variant=variant)
         return hc, x
 
     def test_unit_diagonal_rbf(self):

@@ -1,6 +1,6 @@
 """Property tests: the batched forward against the per-window oracle over
-random left-padding, sequence lengths, kernel subsets, stochastic rows,
-scale caps and dtypes, the training gradient against a directional finite
+random left-padding, sequence lengths, kernel subsets, scale caps and
+dtypes, the training gradient against a directional finite
 difference, and the batched featurizer against the per-row one."""
 
 import warnings
@@ -38,7 +38,6 @@ def cases(draw):
         lengths=draw(st.lists(st.integers(1, L), min_size=b, max_size=b)),
         kernel_active=draw(st.sampled_from(KERNEL_SUBSETS)),
         kernel_item_variant=draw(st.sampled_from(("linear", "rbf"))),
-        stochastic_rows=draw(st.sampled_from(("all", "last"))),
         omega_cap=draw(st.sampled_from((None, 0.5))),
         seed=draw(st.integers(0, 2 ** 16)),
     )
@@ -51,7 +50,7 @@ def build_case(case, dtype):
     cfg = TrainConfig(batch_size=b, dim=8, blocks=2, heads=2, dropout=0.0,
                       max_len=L, k_neg_eval=1, dtype=dtype,
                       **{k: case[k] for k in ("kernel_active", "kernel_item_variant",
-                                              "stochastic_rows", "omega_cap")})
+                                              "omega_cap")})
     params = model.init_params(cfg, N_ITEMS, 4, rng)
     item_ids = np.zeros((b, L), dtype=np.int64)
     for r, m in enumerate(lengths):
@@ -315,8 +314,8 @@ def test_noise_gradient_matches_einsum_oracle(case):
         mp.setattr(attention, "cholesky_backward",
                    lambda chol, d_chol: seen.append(d_chol) or np.zeros_like(chol))
         attention._head_backward(hp, hc, d_out, model.zeros_like_params(params).blocks[0].heads[0],
-                                 model._attn_opts(cfg))
+                                 cfg)
     d_z = nnops.masked_softmax_backward(d_out @ np.swapaxes(hc["v"], -1, -2), hc["probs"])
-    d_y = d_z * hc["sr"] * hc["omega"] * np.sqrt(1.0 - hc["dlt"] ** 2)
+    d_y = d_z * hc["omega"] * np.sqrt(1.0 - hc["dlt"] ** 2)
     np.testing.assert_allclose(np.tril(seen[0]), oracles.noise_chol_grad(d_y, hc["eps"]),
                                rtol=1e-12, atol=1e-14)

@@ -1,7 +1,7 @@
 """The skew-normal law of the attention logits.
 
 Every draw and mean here comes from `attention._head_forward`, the only
-sampler: `law_head` drives it with chosen per-key parameters, and
+place noise becomes logits: `law_head` drives it with chosen per-key parameters, and
 `TestProductionDraw` runs it on a featurized batch. The density is the test
 oracle `oracles.msn_density`, which is checked against scipy first and then
 used at the parameters `oracles.adv_params` gives for the draw.

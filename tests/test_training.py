@@ -123,7 +123,7 @@ class TestCheckpoint:
         monkeypatch.setattr(training, "CHECKPOINT_FORMAT_VERSION", 1)
         training.save_checkpoint(result.checkpoint, path)
         monkeypatch.undo()
-        with pytest.raises(DataError, match="version 1 is not 2"):
+        with pytest.raises(DataError, match="version 1 is not 3"):
             training.load_checkpoint(path)
 
 
@@ -153,7 +153,6 @@ class TestGradCheck:
     @pytest.mark.parametrize("kw", [
         dict(blocks=2, heads=2, kernel_item_variant="rbf"),
         dict(kernel_active="C"),
-        dict(stochastic_rows="last"),
     ])
     def test_passes_on_structural_variants(self, kw):
         base = dict(batch_size=1, dim=8, blocks=1, heads=1, dropout=0.0,
